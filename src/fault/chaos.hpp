@@ -23,8 +23,6 @@ struct ChaosSpec {
   sim::SimTime horizon = sim::SimTime::micros(500.0);
   int min_events = 1;
   int max_events = 5;
-  /// Probability cap for drop/corrupt/duplicate/reorder events.
-  double max_anomaly_prob = 0.3;
   bool allow_drop = true;
   bool allow_corrupt = true;
   bool allow_duplicate = true;
@@ -41,18 +39,8 @@ struct ChaosSpec {
   bool allow_degrade = false;       ///< kDeviceDegrade with ramps
   bool allow_link_degrade = false;  ///< kLinkDegrade with latency derate
   bool allow_pressure = false;      ///< kMemoryPressure with ramps
-  /// Silent-data-corruption kinds (sg_chaos --sdc): resident-state bit
-  /// flips, kernel SDC windows, and checkpoint-blob corruption. Off by
-  /// default so pre-existing soak seeds keep generating byte-identical
-  /// plans. kLabelBitFlip generation additionally requires
-  /// `num_vertices` > 0 (flips target a concrete global vertex id).
-  bool allow_label_flip = false;  ///< kLabelBitFlip
-  bool allow_kernel_sdc = false;  ///< kKernelSdc windows
-  bool allow_ckpt_flip = false;   ///< kCheckpointBitFlip
-  /// Vertex-id bound for generated kLabelBitFlip targets; 0 disables
-  /// label-flip generation even when allowed (the generator cannot
-  /// guess the graph size).
-  std::int64_t num_vertices = 0;
+  // No SDC kinds: flips must target the partition's own replicated
+  // mirrors, so sg_chaos --sdc builds those plans from the layout.
 };
 
 /// Deterministic random plan for `seed` within `spec`'s bounds: the

@@ -42,37 +42,28 @@
 //
 // Exit codes: 0 = ok, 1 = verification failure, 2 = usage error.
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "algo/bfs.hpp"
 #include "algo/ppr.hpp"
-#include "algo/reference.hpp"
 #include "algo/sssp.hpp"
 #include "fw/benchmark.hpp"
 #include "graph/generators.hpp"
 #include "partition/policy.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/workload.hpp"
+#include "serve_verify.hpp"
 #include "sim/cost_params.hpp"
 #include "sim/topology.hpp"
-#include "util/hash.hpp"
 
 namespace {
 
 using namespace sg;
-
-/// Tolerance for PPR top-k scores vs the sequential reference: batched
-/// lanes share a frontier, so float accumulation order differs from the
-/// single-seed push; both converge to the same fixed point within the
-/// push threshold's resolution.
-constexpr double kPprScoreSlack = 50.0;  // x ppr_eps
 
 struct Options {
   serve::WorkloadSpec workload;
@@ -126,105 +117,6 @@ const graph::Csr& serve_graph() {
     return graph::add_symmetric_weights(graph::synthetic(s), 1, 64, 11);
   }();
   return g;
-}
-
-/// Oracle answer for one served query, memoized per (kind, source).
-class Oracle {
- public:
-  explicit Oracle(const graph::Csr& g, double alpha, double eps)
-      : g_(g), alpha_(alpha), eps_(eps) {}
-
-  const std::vector<std::uint32_t>& bfs(graph::VertexId s) {
-    auto it = bfs_.find(s);
-    if (it == bfs_.end()) {
-      it = bfs_.emplace(s, algo::reference::bfs(g_, s)).first;
-    }
-    return it->second;
-  }
-  const std::vector<std::uint64_t>& sssp(graph::VertexId s) {
-    auto it = sssp_.find(s);
-    if (it == sssp_.end()) {
-      it = sssp_.emplace(s, algo::reference::sssp(g_, s)).first;
-    }
-    return it->second;
-  }
-  const std::vector<double>& ppr(graph::VertexId s) {
-    auto it = ppr_.find(s);
-    if (it == ppr_.end()) {
-      it = ppr_.emplace(s, algo::reference::ppr(g_, s, alpha_, eps_)).first;
-    }
-    return it->second;
-  }
-
- private:
-  const graph::Csr& g_;
-  double alpha_;
-  double eps_;
-  std::map<graph::VertexId, std::vector<std::uint32_t>> bfs_;
-  std::map<graph::VertexId, std::vector<std::uint64_t>> sssp_;
-  std::map<graph::VertexId, std::vector<double>> ppr_;
-};
-
-/// Checks one served answer against the sequential oracle; returns an
-/// empty string on success, a description on mismatch.
-std::string check_answer(const serve::Query& q, const serve::Answer& a,
-                         Oracle& oracle, double ppr_eps) {
-  switch (q.kind) {
-    case serve::QueryKind::kBfsDist: {
-      const std::uint32_t d = oracle.bfs(q.source)[q.target];
-      const std::uint64_t want =
-          d == algo::kInfDist ? serve::kUnreachable : d;
-      if (a.distance != want) {
-        return "bfs-dist " + std::to_string(a.distance) + " want " +
-               std::to_string(want);
-      }
-      return {};
-    }
-    case serve::QueryKind::kSsspDist: {
-      const std::uint64_t want = oracle.sssp(q.source)[q.target];
-      if (a.distance != want) {
-        return "sssp-dist " + std::to_string(a.distance) + " want " +
-               std::to_string(want);
-      }
-      return {};
-    }
-    case serve::QueryKind::kKhopCount: {
-      const auto& dist = oracle.bfs(q.source);
-      std::uint64_t count = 0;
-      std::uint64_t digest = util::kFnv1aOffset;
-      for (graph::VertexId v = 0; v < dist.size(); ++v) {
-        if (dist[v] <= q.k) {
-          ++count;
-          digest = util::fnv1a64_value(v, digest);
-        }
-      }
-      if (a.khop_count != count || a.khop_digest != digest) {
-        return "khop " + std::to_string(a.khop_count) + "/" +
-               std::to_string(a.khop_digest) + " want " +
-               std::to_string(count) + "/" + std::to_string(digest);
-      }
-      return {};
-    }
-    case serve::QueryKind::kPprTopK: {
-      const auto& mass = oracle.ppr(q.source);
-      const double tol = kPprScoreSlack * ppr_eps;
-      for (const serve::ScoredVertex& sv : a.topk) {
-        const double diff = std::abs(sv.score - mass[sv.vertex]);
-        if (diff > tol) {
-          return "ppr score[" + std::to_string(sv.vertex) + "] = " +
-                 std::to_string(sv.score) + " vs reference " +
-                 std::to_string(mass[sv.vertex]) + " (diff " +
-                 std::to_string(diff) + " > " + std::to_string(tol) + ")";
-        }
-      }
-      if (a.topk.size() > q.k) {
-        return "ppr top-k returned " + std::to_string(a.topk.size()) +
-               " > k = " + std::to_string(q.k);
-      }
-      return {};
-    }
-  }
-  return "unknown query kind";
 }
 
 }  // namespace
@@ -390,44 +282,18 @@ int main(int argc, char** argv) {
 
   if (!opt.verify) return 0;
 
-  // 1. Every served answer must match the sequential oracle (msbfs
-  //    lanes are bit-exact per source, so bfs-dist/khop answers must
-  //    agree exactly; ppr scores within the documented tolerance).
-  Oracle oracle(g, opt.serve.ppr_alpha, opt.serve.ppr_eps);
+  // 1. Every served answer must match the sequential oracle, or be a
+  //    sound bound if degraded (tools::check_served_answer's rules).
+  tools::ServeOracle oracle(g, opt.serve.ppr_alpha, opt.serve.ppr_eps);
   std::uint64_t checked = 0;
   std::uint64_t degraded = 0;
   std::uint64_t wrong = 0;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     if (!answers[i].served) continue;
     ++checked;
-    std::string err;
-    if (answers[i].degraded) {
-      // Brownout approximation: must be tagged, must be an s-t distance
-      // query, and the landmark triangle bound must hold — a finite
-      // upper bound on the true distance (soundness, not exactness).
-      ++degraded;
-      const serve::Query& q = trace[i];
-      const std::uint64_t truth =
-          q.kind == serve::QueryKind::kBfsDist
-              ? (oracle.bfs(q.source)[q.target] == algo::kInfDist
-                     ? serve::kUnreachable
-                     : oracle.bfs(q.source)[q.target])
-          : q.kind == serve::QueryKind::kSsspDist
-              ? oracle.sssp(q.source)[q.target]
-              : serve::kUnreachable;
-      if (q.kind != serve::QueryKind::kBfsDist &&
-          q.kind != serve::QueryKind::kSsspDist) {
-        err = "degraded answer on a non-distance query kind";
-      } else if (answers[i].distance == serve::kUnreachable) {
-        err = "degraded answer is not a finite bound";
-      } else if (truth == serve::kUnreachable ||
-                 answers[i].distance < truth) {
-        err = "degraded bound " + std::to_string(answers[i].distance) +
-              " below true distance " + std::to_string(truth);
-      }
-    } else {
-      err = check_answer(trace[i], answers[i], oracle, opt.serve.ppr_eps);
-    }
+    degraded += answers[i].degraded ? 1 : 0;
+    const std::string err =
+        tools::check_served_answer(trace[i], answers[i], oracle);
     if (!err.empty()) {
       ++wrong;
       if (wrong <= 10) {

@@ -88,7 +88,6 @@ SpanRef Tracer::record(int track, SpanKind kind, const char* name,
   s.seq = t.seq++;
   s.track = track;
   s.kind = kind;
-  ++recorded_;
   if (t.ring.size() < cap_) {
     t.ring.push_back(s);
   } else {
@@ -162,6 +161,14 @@ sim::SimTime Tracer::comm_sum(int track) const {
          kind_sum(track, SpanKind::kPcie) + kind_sum(track, SpanKind::kApply);
 }
 
+// Summed per track: parallel workers record only to their own tracks,
+// so no counter is shared between them.
+std::uint64_t Tracer::recorded() const {
+  std::uint64_t r = 0;
+  for (const Track& t : tracks_) r += t.seq;
+  return r;
+}
+
 std::uint64_t Tracer::dropped() const {
   std::uint64_t d = 0;
   for (const Track& t : tracks_) d += t.dropped;
@@ -176,7 +183,6 @@ void Tracer::clear() {
     t.seq = 0;
     t.dropped = 0;
   }
-  recorded_ = 0;
 }
 
 std::string Tracer::chrome_trace_json() const {
@@ -185,7 +191,7 @@ std::string Tracer::chrome_trace_json() const {
   w.kv("displayTimeUnit", "ms");
   w.key("otherData").begin_object();
   w.kv("clock", "simulated");
-  w.kv("recorded", recorded_);
+  w.kv("recorded", recorded());
   w.kv("dropped_spans", dropped());
   w.end_object();
   w.key("traceEvents").begin_array();

@@ -129,7 +129,7 @@ class Tracer {
   /// Σ extract + pcie + apply on `track` (the device_comm_time share).
   [[nodiscard]] sim::SimTime comm_sum(int track) const;
 
-  [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
+  [[nodiscard]] std::uint64_t recorded() const;
   [[nodiscard]] std::uint64_t dropped() const;
 
   void clear();
@@ -157,7 +157,6 @@ class Tracer {
 
   std::size_t cap_;
   std::vector<Track> tracks_;
-  std::uint64_t recorded_ = 0;
 };
 
 /// Null-sink handle threaded through RoundCtx (and usable anywhere a

@@ -2940,7 +2940,15 @@ class Executor {
   /// and restarts Safra termination detection, whose message counters
   /// straddle the dropped messages.
   void basp_evict(int cd, sim::SimTime t, sim::EventQueue& queue) {
-    const sim::SimTime cost = evict_device(cd, t);
+    basp_realign(t + evict_device(cd, t), "wait.evict", cd, queue);
+  }
+
+  /// Shared tail of basp_evict and basp_mitigate, after the exchange
+  /// lists were rebuilt: wipes in-flight traffic, restarts Safra, moves
+  /// every running live device's clock to `resume` (a `span` wait
+  /// charged to device `cause`) and wakes every live device there.
+  void basp_realign(sim::SimTime resume, const char* span, int cause,
+                    sim::EventQueue& queue) {
     inboxes_.assign(devices_, BaspInbox{});
     if (td_) {
       td_ = std::make_unique<TerminationDetector>(devices_);
@@ -2948,14 +2956,13 @@ class Executor {
         if (dead_[o]) td_->set_active(o, false);
       }
     }
-    const sim::SimTime resume = t + cost;
     for (int o = 0; o < devices_; ++o) {
       if (dead_[o]) continue;
       Dev& dev = devs_[o];
       if (!dev.parked && resume > dev.clock) {
         stats_.wait_time[o] += resume - dev.clock;
-        dev_scope(o).span(obs::SpanKind::kWait, "wait.evict", dev.clock,
-                          resume, 0, static_cast<std::uint64_t>(cd));
+        dev_scope(o).span(obs::SpanKind::kWait, span, dev.clock, resume, 0,
+                          static_cast<std::uint64_t>(cause));
         dev.clock = resume;
       }
       queue.schedule(resume, [this, o, &queue](sim::SimTime tt) {
@@ -2996,9 +3003,8 @@ class Executor {
   }
 
   /// BASP-side mitigation wrapper: runs the shared migrate/evict path,
-  /// then — exactly like basp_evict — wipes in-flight traffic (it
-  /// indexes the old exchange lists), restarts Safra, and realigns live
-  /// devices at the post-mitigation instant.
+  /// then realigns live devices at the post-mitigation instant exactly
+  /// like basp_evict.
   void basp_mitigate(const fault::GrayFailureMonitor::Action& a,
                      sim::SimTime t, sim::EventQueue& queue) {
     const std::uint64_t before =
@@ -3008,27 +3014,7 @@ class Executor {
         before) {
       return;  // nothing happened (non-rehomable program / no placement)
     }
-    inboxes_.assign(devices_, BaspInbox{});
-    if (td_) {
-      td_ = std::make_unique<TerminationDetector>(devices_);
-      for (int o = 0; o < devices_; ++o) {
-        if (dead_[o]) td_->set_active(o, false);
-      }
-    }
-    const sim::SimTime resume = t + cost;
-    for (int o = 0; o < devices_; ++o) {
-      if (dead_[o]) continue;
-      Dev& dev = devs_[o];
-      if (!dev.parked && resume > dev.clock) {
-        stats_.wait_time[o] += resume - dev.clock;
-        dev_scope(o).span(obs::SpanKind::kWait, "wait.migrate", dev.clock,
-                          resume, 0, static_cast<std::uint64_t>(a.device));
-        dev.clock = resume;
-      }
-      queue.schedule(resume, [this, o, &queue](sim::SimTime tt) {
-        if (devs_[o].parked) basp_step(o, tt, queue);
-      });
-    }
+    basp_realign(t + cost, "wait.migrate", a.device, queue);
   }
 
   /// BASP has no barriers, so consistent cuts are taken at *quiescence*:

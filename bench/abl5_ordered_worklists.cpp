@@ -5,7 +5,7 @@
 // studies. Sweeps the bucket width on the medium graphs at 32 GPUs.
 #include <cstdio>
 
-#include "algo/sssp.hpp"
+#include "algo/minplus.hpp"
 #include "algo/sssp_delta.hpp"
 #include "bench_common.hpp"
 

@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "algo/bfs.hpp"
+#include "algo/minplus.hpp"
 #include "comm/sync_structure.hpp"
 #include "graph/datasets.hpp"
 #include "partition/dist_graph.hpp"

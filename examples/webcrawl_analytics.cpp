@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "algo/bfs.hpp"
+#include "algo/minplus.hpp"
 #include "algo/pagerank.hpp"
 #include "comm/sync_structure.hpp"
 #include "graph/datasets.hpp"

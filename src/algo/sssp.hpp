@@ -1,183 +1,5 @@
 #pragma once
 
-#include <cstdint>
-#include <limits>
-#include <string>
-#include <vector>
-
-#include "algo/seed.hpp"
-#include "comm/reduction.hpp"
-#include "engine/executor.hpp"
-#include "integrity/audit.hpp"
-
-namespace sg::algo {
-
-inline constexpr std::uint64_t kInfPath =
-    std::numeric_limits<std::uint64_t>::max();
-
-/// Single-source shortest paths: data-driven push (chaotic relaxation)
-/// with min reduction, as in D-IrGL. Distances are 64-bit so that long
-/// weighted paths cannot overflow.
-class SsspProgram {
- public:
-  using ReduceValue = std::uint64_t;
-  using ReduceOp = comm::MinOp<std::uint64_t>;
-  using BcastValue = std::uint64_t;
-  using BcastOp = comm::MinOp<std::uint64_t>;
-  static constexpr bool kDataDriven = true;
-  static constexpr std::uint64_t kExtraBytesPerVertex = 0;
-
-  explicit SsspProgram(graph::VertexId source) : source_(source) {}
-
-  [[nodiscard]] const char* name() const { return "sssp"; }
-  [[nodiscard]] comm::SyncPattern pattern() const {
-    return comm::SyncPattern::push();
-  }
-
-  struct DeviceState {
-    std::vector<std::uint64_t> dist;
-
-    template <class Ar>
-    void archive(Ar& ar) {
-      ar(dist);
-    }
-
-    template <class Ar>
-    void archive_vertex(Ar& ar, graph::VertexId v) {
-      ar(dist[v]);
-    }
-  };
-
-  void init(const partition::LocalGraph& lg, DeviceState& st,
-            engine::RoundCtx& ctx) const {
-    st.dist.assign(lg.num_local, kInfPath);
-    if (const auto v = resolve_seed(lg, source_)) {
-      st.dist[*v] = 0;
-      ctx.push(*v);
-    }
-  }
-
-  bool compute_round(const partition::LocalGraph& lg, DeviceState& st,
-                     std::span<const graph::VertexId> frontier,
-                     engine::RoundCtx& ctx) const {
-    const bool weighted = !lg.out_weights.empty();
-    for (const graph::VertexId v : frontier) {
-      ctx.record(static_cast<std::uint32_t>(lg.out_degree(v)));
-      const std::uint64_t dv = st.dist[v];
-      if (dv == kInfPath) continue;
-      for (graph::EdgeId e = lg.out_offsets[v]; e < lg.out_offsets[v + 1];
-           ++e) {
-        const graph::VertexId u = lg.out_dsts[e];
-        const std::uint64_t w = weighted ? lg.out_weights[e] : 1;
-        if (dv + w < st.dist[u]) {
-          st.dist[u] = dv + w;
-          ctx.mark_dirty(u, lg.is_master(u));
-          ctx.push(u);
-        }
-      }
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::span<ReduceValue> reduce_mirror_src(
-      DeviceState& st) const {
-    return st.dist;
-  }
-  [[nodiscard]] std::span<ReduceValue> reduce_master_dst(
-      DeviceState& st) const {
-    return st.dist;
-  }
-  [[nodiscard]] std::span<const BcastValue> bcast_master_src(
-      const DeviceState& st) const {
-    return st.dist;
-  }
-  [[nodiscard]] std::span<BcastValue> bcast_mirror_dst(
-      DeviceState& st) const {
-    return st.dist;
-  }
-
-  void on_update(const partition::LocalGraph&, DeviceState&,
-                 graph::VertexId v, engine::UpdateKind,
-                 engine::RoundCtx& ctx) const {
-    ctx.push(v);
-  }
-
-  /// ABFT invariant, per audited boundary: a zero distance anywhere but
-  /// the source can only come from a bit flip (mirrors the bfs hook;
-  /// see DESIGN.md §13).
-  [[nodiscard]] std::string audit_device(const partition::LocalGraph& lg,
-                                         const DeviceState& st) const {
-    for (graph::VertexId v = 0; v < lg.num_local; ++v) {
-      if (st.dist[v] == 0 && lg.l2g[v] != source_) {
-        return "sssp: dist 0 at non-source vertex " +
-               std::to_string(lg.l2g[v]);
-      }
-    }
-    return {};
-  }
-
-  /// Complete fixed-point certificate at the final audit: one global
-  /// relaxed-triangle sweep (dist[v] = min over in-edges of
-  /// dist[u] + w) must reproduce the master distances exactly.
-  [[nodiscard]] std::string audit_global(
-      std::span<const partition::LocalGraph* const> lgs,
-      std::span<const DeviceState* const> sts,
-      const integrity::AuditPolicy&) const {
-    graph::VertexId n = 0;
-    for (const partition::LocalGraph* lg : lgs) {
-      for (graph::VertexId v = 0; v < lg->num_local; ++v) {
-        n = std::max(n, lg->l2g[v] + 1);
-      }
-    }
-    std::vector<std::uint64_t> dist(n, kInfPath);
-    for (std::size_t i = 0; i < lgs.size(); ++i) {
-      for (graph::VertexId v = 0; v < lgs[i]->num_masters; ++v) {
-        dist[lgs[i]->l2g[v]] = sts[i]->dist[v];
-      }
-    }
-    std::vector<std::uint64_t> best(n, kInfPath);
-    for (std::size_t i = 0; i < lgs.size(); ++i) {
-      const partition::LocalGraph& lg = *lgs[i];
-      const bool weighted = !lg.out_weights.empty();
-      for (graph::VertexId u = 0; u < lg.num_local; ++u) {
-        const std::uint64_t du = dist[lg.l2g[u]];
-        if (du == kInfPath) continue;
-        for (graph::EdgeId e = lg.out_offsets[u]; e < lg.out_offsets[u + 1];
-             ++e) {
-          const graph::VertexId w = lg.out_dsts[e];
-          const std::uint64_t wt = weighted ? lg.out_weights[e] : 1;
-          best[lg.l2g[w]] = std::min(best[lg.l2g[w]], du + wt);
-        }
-      }
-    }
-    for (graph::VertexId v = 0; v < n; ++v) {
-      if (v == source_ && dist[v] == kInfPath && best[v] == kInfPath) {
-        continue;  // source not resident in this graph at all
-      }
-      const std::uint64_t expected = v == source_ ? 0 : best[v];
-      if (dist[v] != expected) {
-        return "sssp: fixed-point violation at vertex " + std::to_string(v) +
-               " (dist " + std::to_string(dist[v]) + ", certificate " +
-               std::to_string(expected) + ")";
-      }
-    }
-    return {};
-  }
-
- private:
-  graph::VertexId source_;
-};
-
-struct SsspResult {
-  std::vector<std::uint64_t> dist;
-  engine::RunStats stats;
-};
-
-[[nodiscard]] SsspResult run_sssp(const partition::DistGraph& dg,
-                                  const comm::SyncStructure& sync,
-                                  const sim::Topology& topo,
-                                  const sim::CostParams& params,
-                                  const engine::EngineConfig& config,
-                                  graph::VertexId source);
-
-}  // namespace sg::algo
+// sssp lives in the shared min-plus module; this header keeps the old
+// include path working.
+#include "algo/minplus.hpp"

@@ -3,8 +3,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "algo/minplus.hpp"
 #include "algo/seed.hpp"
-#include "algo/sssp.hpp"
 #include "comm/reduction.hpp"
 #include "engine/executor.hpp"
 

@@ -6,9 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "algo/bfs.hpp"
-#include "algo/msbfs.hpp"
-#include "algo/mssssp.hpp"
+#include "algo/minplus.hpp"
 #include "algo/ppr_batch.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"

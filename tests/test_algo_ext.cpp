@@ -5,9 +5,9 @@
 
 #include <numeric>
 
+#include "algo/minplus.hpp"
 #include "algo/ppr.hpp"
 #include "algo/reference.hpp"
-#include "algo/sssp.hpp"
 #include "algo/sssp_delta.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"

@@ -12,7 +12,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "algo/bfs.hpp"
+#include "algo/minplus.hpp"
 #include "engine/config.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"

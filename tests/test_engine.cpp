@@ -3,7 +3,7 @@
 // behavioural properties that the algorithm sweeps do not isolate.
 #include <gtest/gtest.h>
 
-#include "algo/bfs.hpp"
+#include "algo/minplus.hpp"
 #include "algo/pagerank.hpp"
 #include "algo/reference.hpp"
 #include "engine/config.hpp"

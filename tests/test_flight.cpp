@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "algo/bfs.hpp"
+#include "algo/minplus.hpp"
 #include "engine/config.hpp"
 #include "fault/fault.hpp"
 #include "graph/datasets.hpp"

@@ -7,7 +7,7 @@
 #include <fstream>
 #include <unistd.h>
 
-#include "algo/bfs.hpp"
+#include "algo/minplus.hpp"
 #include "algo/reference.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "algo/bfs.hpp"
+#include "algo/minplus.hpp"
 #include "algo/ppr.hpp"
 #include "algo/reference.hpp"
 #include "graph/csr.hpp"

@@ -49,9 +49,8 @@
 #include <string>
 #include <vector>
 
-#include "algo/bfs.hpp"
+#include "algo/minplus.hpp"
 #include "algo/ppr.hpp"
-#include "algo/sssp.hpp"
 #include "fw/benchmark.hpp"
 #include "graph/generators.hpp"
 #include "partition/policy.hpp"

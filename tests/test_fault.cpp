@@ -29,10 +29,12 @@
 #include "graph/generators.hpp"
 #include "helpers.hpp"
 #include "integrity/auditor.hpp"
+#include "obs/trace.hpp"
 #include "partition/blob_io.hpp"
 #include "partition/partition_io.hpp"
 #include "partition/rehome.hpp"
 #include "sim/event_queue.hpp"
+#include "util/hash.hpp"
 #include "helpers.hpp"
 
 namespace sg {
@@ -1602,6 +1604,109 @@ TEST(GrayFault, LinkDegradeDeratesBandwidthAndLatency) {
   EXPECT_EQ(fr.dist, ff.dist);
   EXPECT_GT(fr.stats.total_time, ff.stats.total_time);
   EXPECT_EQ(fr.stats.total_time, fr2.stats.total_time);
+}
+
+
+// ---- wire-path golden pin ------------------------------------------------
+//
+// Pins the delivery gauntlet and both receive paths under one fixed plan
+// of drop, corrupt, duplicate and reorder windows, with the wire protocol
+// on and off. Protocol off exercises the BSP ghost re-apply and the
+// silently applied corrupt payloads; protocol on exercises the BASP
+// reorder buffer's release order and the sequence dedupe. pagerank's
+// AddOp makes a re-applied ghost change the answer, so a dropped or
+// doubled apply moves the label digest as well as the counters. Apply
+// order alone moves no counter, so the Chrome trace is pinned too: a
+// swapped release shifts the uplink/apply spans on the device track.
+
+struct WirePin {
+  const char* name;
+  engine::ExecModel model;
+  bool wire_protocol;
+  double total_time_s;
+  std::uint64_t comm_bytes;
+  std::uint64_t messages;
+  std::uint64_t reduce_values;
+  std::uint64_t broadcast_values;
+  std::uint64_t duplicates_discarded;
+  std::uint64_t reorder_buffered;
+  std::uint64_t corrupt_applied;
+  std::uint64_t label_digest;
+  std::uint64_t trace_digest;
+};
+
+TEST(WireGolden, RunStatsMatchRecordedValues) {
+  using engine::ExecModel;
+  const graph::Csr g = small_social();
+  const PreparedGraph prep(g, partition::Policy::OEC, 4);
+  const auto t = topo(4);
+  const auto p = params();
+  const auto src = graph::datasets::default_source(g);
+  fault::FaultPlan plan;
+  plan.drop_messages(0.15, sim::SimTime{2e-6}, sim::SimTime{4e-5});
+  plan.corrupt_messages(0.1, sim::SimTime{5e-6}, sim::SimTime{4e-5});
+  plan.duplicate_messages(0.3, sim::SimTime::zero(), sim::SimTime{6e-5});
+  plan.reorder_messages(0.3, sim::SimTime{1e-6}, sim::SimTime{6e-5});
+
+  const WirePin pins[] = {
+      {"bfs", ExecModel::kSync, true, 0.00022695752828271707, 7290, 36, 688,
+       0, 4, 0, 0, 0xbeb8142e070bb134ULL,
+       0x31ab72498a29730aULL},
+      {"bfs", ExecModel::kSync, false, 0.00015985017496661559, 7335, 36, 694,
+       0, 0, 0, 0, 0xbeb8142e070bb134ULL,
+       0xd5b43493e5d86b77ULL},
+      {"bfs", ExecModel::kAsync, true, 0.00035402584021756447, 9154, 61, 771,
+       0, 16, 32, 0, 0xbeb8142e070bb134ULL,
+       0x3b62fbdd9d13a846ULL},
+      {"bfs", ExecModel::kAsync, false, 0.00035414250421756446, 9935, 59, 910,
+       0, 0, 0, 3, 0xbeb8142e070bb134ULL,
+       0x8097a6492882dd23ULL},
+      {"pagerank", ExecModel::kSync, true, 0.00067061301866790319, 642386,
+       1431, 34175, 37424, 4, 0, 0, 0x40c147941b14fa20ULL,
+       0x2750cea2c88ecae3ULL},
+      {"pagerank", ExecModel::kSync, false, 0.00081153794763231017, 659276,
+       1601, 34653, 38090, 0, 0, 1, 0xc7f4f57df888a1cbULL,
+       0x3830adfee7587036ULL},
+      {"pagerank", ExecModel::kAsync, true, 0.00072515426899999989, 1005306,
+       2240, 53670, 58437, 51, 521, 0, 0x987e770affb11b5bULL,
+       0xe4535d49ed0bdb6ULL},
+      {"pagerank", ExecModel::kAsync, false, 0.00070663332000000037, 999000,
+       2199, 54180, 58680, 0, 0, 12, 0x8785fb38ac12418eULL,
+       0x2c6b98540b17cfd2ULL},
+  };
+  for (const WirePin& pin : pins) {
+    obs::Tracer tracer;
+    auto c = cfg(pin.model);
+    c.fault_plan = &plan;
+    c.wire_protocol = pin.wire_protocol;
+    c.tracer = &tracer;
+    engine::RunStats s;
+    std::uint64_t digest = 0;
+    if (std::string(pin.name) == "bfs") {
+      const auto r = algo::run_bfs(prep.dist, prep.sync, t, p, c, src);
+      s = r.stats;
+      digest = util::fnv1a64(r.dist.data(), r.dist.size() * sizeof(r.dist[0]));
+    } else {
+      const auto r = algo::run_pagerank(prep.dist, prep.sync, t, p, c);
+      s = r.stats;
+      digest = util::fnv1a64(r.rank.data(), r.rank.size() * sizeof(float));
+    }
+    const std::string at = std::string(pin.name) + "/" +
+                           engine::to_string(pin.model) +
+                           (pin.wire_protocol ? "/protocol" : "/unprotected");
+    EXPECT_EQ(s.total_time.seconds(), pin.total_time_s) << at;
+    EXPECT_EQ(s.comm.total_volume(), pin.comm_bytes) << at;
+    EXPECT_EQ(s.comm.messages, pin.messages) << at;
+    EXPECT_EQ(s.comm.reduce_values, pin.reduce_values) << at;
+    EXPECT_EQ(s.comm.broadcast_values, pin.broadcast_values) << at;
+    EXPECT_EQ(s.faults.duplicates_discarded, pin.duplicates_discarded) << at;
+    EXPECT_EQ(s.faults.reorder_buffered, pin.reorder_buffered) << at;
+    EXPECT_EQ(s.faults.corrupt_applied, pin.corrupt_applied) << at;
+    EXPECT_EQ(digest, pin.label_digest) << at;
+    const std::string trace = tracer.chrome_trace_json();
+    EXPECT_EQ(util::fnv1a64(trace.data(), trace.size()), pin.trace_digest)
+        << at;
+  }
 }
 
 }  // namespace

@@ -167,6 +167,19 @@ class Parser {
     ++pos_;
   }
 
+  /// Counts one array/object level for the scope of a parse call;
+  /// fails past kJsonMaxDepth.
+  struct Nest {
+    explicit Nest(Parser& parser) : p(parser) {
+      if (++p.depth_ > kJsonMaxDepth) {
+        p.fail("nesting deeper than " + std::to_string(kJsonMaxDepth) +
+               " levels");
+      }
+    }
+    ~Nest() { --p.depth_; }
+    Parser& p;
+  };
+
   bool consume_literal(std::string_view lit) {
     if (text_.substr(pos_, lit.size()) != lit) return false;
     pos_ += lit.size();
@@ -278,6 +291,7 @@ class Parser {
   }
 
   JsonValue parse_object() {
+    const Nest nest(*this);
     expect('{');
     JsonValue v;
     v.kind = JsonValue::Kind::kObject;
@@ -304,6 +318,7 @@ class Parser {
   }
 
   JsonValue parse_array() {
+    const Nest nest(*this);
     expect('[');
     JsonValue v;
     v.kind = JsonValue::Kind::kArray;
@@ -327,6 +342,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -91,8 +91,15 @@ struct JsonValue {
   [[nodiscard]] bool is_array() const { return kind == Kind::kArray; }
 };
 
+/// Deepest array/object nesting parse_json accepts. The parser recurses
+/// once per level, so the bound keeps a hostile document (a file of
+/// '[') from overflowing the stack; the documents obs writes nest at
+/// most 7 levels.
+inline constexpr int kJsonMaxDepth = 256;
+
 /// Parses a complete JSON document; throws std::runtime_error with an
-/// offset-annotated message on malformed input.
+/// offset-annotated message on malformed input, including nesting
+/// deeper than kJsonMaxDepth.
 [[nodiscard]] JsonValue parse_json(std::string_view text);
 
 }  // namespace sg::obs

@@ -28,6 +28,10 @@
 #include "graph/validation.hpp"
 #include "helpers.hpp"
 #include "integrity/audit.hpp"
+#include "obs/json.hpp"
+#include "obs/metrics.hpp"
+#include "obs/report.hpp"
+#include "obs/trace.hpp"
 #include "partition/partition_io.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/workload.hpp"
@@ -882,6 +886,144 @@ TEST_P(OverloadServeFuzz, ConservationSoundnessAndReplayUnderRandomLoad) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OverloadServeFuzz,
                          testing::Range<std::uint64_t>(1, 17));
+
+
+// ---- JSON parser fuzzing -------------------------------------------------
+//
+// obs::parse_json reads untrusted files: sg_chaos --replay reproducers,
+// report_diff inputs and sg_explain traces. Property: every input
+// derived from a real ReportWriter report or a chaos reproducer, with
+// bytes flipped, cut at any length or wrapped in deep nesting, either
+// parses or throws std::runtime_error. Nothing else escapes, and
+// nothing crashes.
+
+/// A traced bfs run on wire_graph serialized by ReportWriter, metrics
+/// and trace sections included.
+const std::string& report_text() {
+  static const std::string text = [] {
+    const auto& g = wire_graph();
+    test::PreparedGraph prep(g, partition::Policy::CVC, 4);
+    obs::Registry metrics;
+    obs::Tracer tracer;
+    auto c = test::cfg(engine::ExecModel::kSync);
+    c.metrics = &metrics;
+    c.tracer = &tracer;
+    const auto r =
+        algo::run_bfs(prep.dist, prep.sync, test::topo(4), test::params(), c,
+                      graph::datasets::default_source(g));
+    obs::ReportMeta m;
+    m.bench = "fuzz";
+    m.label = "bfs/wire/D-IrGL/4";
+    m.benchmark = "bfs";
+    m.devices = 4;
+    obs::ReportWriter w("fuzz");
+    w.add(m, r.stats, &metrics, &tracer);
+    return w.json();
+  }();
+  return text;
+}
+
+/// A chaos reproducer in sg_chaos's schema around a random wire plan.
+std::string reproducer_text(std::uint64_t seed) {
+  obs::JsonWriter w;
+  w.begin_object().kv("sg_chaos_schema", 1);
+  w.key("scenario").begin_object();
+  w.kv("benchmark", "bfs").kv("policy", "OEC").kv("exec_model", "Async");
+  w.kv("devices", 4).kv("wire_protocol", false).end_object();
+  w.kv("failure", "labels-mismatch").kv("detail", "dist[7] = 3 vs oracle 2");
+  w.key("plan");
+  fault::write_plan_json(
+      w, wire_anomaly_plan(seed, 4, sim::SimTime::micros(300.0)));
+  w.key("shrink").begin_object().kv("probes", 10).end_object();
+  return w.end_object().take();
+}
+
+/// Parses `text`; a std::runtime_error is the only acceptable failure.
+void parse_or_throw(const std::string& text, const std::string& what) {
+  try {
+    (void)obs::parse_json(text);
+  } catch (const std::runtime_error&) {
+  } catch (...) {
+    ADD_FAILURE() << what << ": parse_json threw a non-runtime_error";
+  }
+}
+
+class JsonFuzz : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(JsonFuzz, ByteFlipsParseOrThrowRuntimeError) {
+  sim::Rng rng{GetParam() * 7919 + 3};
+  for (const std::string& doc : {report_text(), reproducer_text(GetParam())}) {
+    ASSERT_NO_THROW((void)obs::parse_json(doc));
+    for (int trial = 0; trial < 64; ++trial) {
+      std::string text = doc;
+      const int flips = 1 + static_cast<int>(rng.bounded(4));
+      for (int f = 0; f < flips; ++f) {
+        const std::size_t pos = rng.bounded(text.size());
+        const auto bit = static_cast<unsigned>(rng.bounded(8));
+        text[pos] = rng.chance(0.5)
+                        ? static_cast<char>(rng.bounded(256))
+                        : static_cast<char>(text[pos] ^ (1u << bit));
+      }
+      parse_or_throw(text, "seed " + std::to_string(GetParam()) +
+                               " trial " + std::to_string(trial));
+    }
+  }
+}
+
+TEST_P(JsonFuzz, DeepNestingParsesUpToTheBoundAndThrowsPastIt) {
+  sim::Rng rng{GetParam() * 104729 + 11};
+  const std::string doc = rng.chance(0.5) ? report_text()
+                                          : reproducer_text(GetParam());
+  // Wraps `doc` in `levels` random array/object layers.
+  const auto wrap = [&](int levels) {
+    std::string open;
+    std::string close;
+    for (int i = 0; i < levels; ++i) {
+      const bool array = rng.chance(0.5);
+      open += array ? "[" : "{\"k\":";
+      close.insert(close.begin(), array ? ']' : '}');
+    }
+    return open + doc + close;
+  };
+  // The documents nest 7 levels at most: far inside the bound.
+  const int inside = static_cast<int>(
+      rng.bounded(static_cast<std::uint64_t>(obs::kJsonMaxDepth - 8)));
+  EXPECT_NO_THROW((void)obs::parse_json(wrap(inside))) << inside;
+  const int outside =
+      obs::kJsonMaxDepth + 1 + static_cast<int>(rng.bounded(2000));
+  EXPECT_THROW((void)obs::parse_json(wrap(outside)), std::runtime_error)
+      << outside;
+  // Unterminated runs of one bracket, far past the bound: the parser
+  // must stop at the bound, not recurse until the stack runs out.
+  for (const char* open : {"[", "{\"k\":"}) {
+    std::string deep;
+    for (int i = 0; i < 50'000; ++i) deep += open;
+    try {
+      (void)obs::parse_json(deep);
+      ADD_FAILURE() << "50,000 levels of " << open << " parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("nesting deeper than"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, JsonFuzz,
+                         testing::Range<std::uint64_t>(1, 17));
+
+TEST(JsonTruncation, EveryProperPrefixThrowsRuntimeError) {
+  // Both documents end in a closing brace, so no proper prefix is a
+  // complete document: each must throw std::runtime_error.
+  for (const std::string& doc : {report_text(), reproducer_text(1)}) {
+    ASSERT_NO_THROW((void)obs::parse_json(doc));
+    for (std::size_t len = 0; len < doc.size(); ++len) {
+      EXPECT_THROW((void)obs::parse_json(doc.substr(0, len)),
+                   std::runtime_error)
+          << "prefix of " << len << " bytes";
+    }
+  }
+}
 
 }  // namespace
 }  // namespace sg

@@ -23,6 +23,10 @@ make_report("${WORK}/base.json" 1.0)
 make_report("${WORK}/same.json" 1.0)
 make_report("${WORK}/slow.json" 2.0)
 file(WRITE "${WORK}/garbage.json" "this is not json")
+# 50,000 nested arrays: the parser must refuse the depth, not overflow
+# its stack.
+string(REPEAT "[" 50000 deep)
+file(WRITE "${WORK}/deep.json" "${deep}")
 
 function(expect_exit code)
   # Remaining args: the report_diff argument list.
@@ -49,6 +53,7 @@ expect_exit(2 "${WORK}/base.json" "${WORK}/same.json" --bogus)
 expect_exit(2 "${WORK}/base.json" "${WORK}/same.json" --threshold)
 # 2: unparseable / non-report inputs.
 expect_exit(2 "${WORK}/garbage.json" "${WORK}/same.json")
+expect_exit(2 "${WORK}/deep.json" "${WORK}/deep.json")
 expect_exit(2 "${WORK}/base.json" "${WORK}/missing-file.json")
 
 # --json keeps the exit-code contract and emits the documented schema.

@@ -133,11 +133,14 @@ foreach(case "--bogus|unknown flag" "--chaos-seed|needs a value"
   endif()
 endforeach()
 
-# 2: replay of a missing or unparsable file, or of one that is not a
-# schema-1 reproducer.
+# 2: replay of a missing or unparsable file, of one nested 50,000
+# levels deep (refused at the parser's depth bound, not a stack
+# overflow), or of one that is not a schema-1 reproducer.
 file(WRITE "${WORK}/garbage.json" "not json")
+string(REPEAT "[" 50000 deep)
+file(WRITE "${WORK}/deep.json" "${deep}")
 file(WRITE "${WORK}/no_schema.json" "{\"scenario\":{}}")
-foreach(name missing garbage no_schema)
+foreach(name missing garbage deep no_schema)
   expect_exit(2 --replay "${WORK}/${name}.json")
 endforeach()
 

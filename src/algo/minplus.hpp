@@ -10,7 +10,6 @@
 
 #include "algo/lanes.hpp"
 #include "algo/results.hpp"
-#include "algo/seed.hpp"
 #include "comm/reduction.hpp"
 #include "engine/executor.hpp"
 #include "integrity/audit.hpp"
@@ -138,7 +137,7 @@ class MinPlusProgram
   void init(const partition::LocalGraph& lg, DeviceState& st,
             engine::RoundCtx& ctx) const {
     st.dist.assign(lg.num_local, kInf);
-    if (const auto v = resolve_seed(lg, source_)) {
+    if (const auto v = lg.local_of(source_)) {
       st.dist[*v] = 0;
       ctx.push(*v);
     }
@@ -284,7 +283,7 @@ class MinPlusLanesProgram
     st.dist.assign(lg.num_local, Lanes::filled(kInf));
     st.pending.assign(lg.num_local, 0);
     for (std::size_t i = 0; i < sources_.size(); ++i) {
-      if (const auto v = resolve_seed(lg, sources_[i])) {
+      if (const auto v = lg.local_of(sources_[i])) {
         st.dist[*v].lane[i] = 0;
         st.pending[*v] |= 1ull << i;
         ctx.push(*v);

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "algo/seed.hpp"
 #include "comm/reduction.hpp"
 #include "engine/executor.hpp"
 
@@ -73,7 +72,7 @@ class PprProgram {
     st.consumed_total.assign(n, 0.0);
     st.consumed_cache.assign(n, 0.0);
     st.seen_total.assign(n, 0.0);
-    if (const auto v = resolve_seed(lg, seed_)) {
+    if (const auto v = lg.local_of(seed_)) {
       if (lg.is_master(*v)) {
         st.resid[*v] = 1.0;
       }

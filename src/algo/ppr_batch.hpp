@@ -7,7 +7,6 @@
 
 #include "algo/lanes.hpp"
 #include "algo/ppr.hpp"
-#include "algo/seed.hpp"
 #include "engine/executor.hpp"
 
 namespace sg::algo {
@@ -89,7 +88,7 @@ class PprBatchProgram {
     st.consumed_cache.assign(n, zero);
     st.seen_total.assign(n, zero);
     for (std::size_t i = 0; i < seeds_.size(); ++i) {
-      if (const auto v = resolve_seed(lg, seeds_[i])) {
+      if (const auto v = lg.local_of(seeds_[i])) {
         if (lg.is_master(*v)) {
           st.resid[*v].lane[i] = 1.0;
         }

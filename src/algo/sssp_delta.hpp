@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "algo/minplus.hpp"
-#include "algo/seed.hpp"
 #include "comm/reduction.hpp"
 #include "engine/executor.hpp"
 
@@ -62,7 +61,7 @@ class DeltaSsspProgram {
   void init(const partition::LocalGraph& lg, DeviceState& st,
             engine::RoundCtx& ctx) const {
     st.dist.assign(lg.num_local, kInfPath);
-    if (const auto v = resolve_seed(lg, source_)) {
+    if (const auto v = lg.local_of(source_)) {
       st.dist[*v] = 0;
       enqueue(st, *v, 0);
       ctx.push(*v);  // activity signal for the executor

@@ -15,18 +15,27 @@ SyncStructure::SyncStructure(const partition::DistGraph& dg)
   with_in_.resize(slots);
   all_.resize(slots);
 
+  // Masters are numbered in global-id order on their owner, so a
+  // master's local id is its rank among that owner's masters.
+  const std::vector<int>& master_of = dg.master_directory();
+  std::vector<VertexId> rank(master_of.size());
+  std::vector<VertexId> next(static_cast<std::size_t>(num_devices_), 0);
+  for (std::size_t gid = 0; gid < master_of.size(); ++gid) {
+    rank[gid] = next[static_cast<std::size_t>(master_of[gid])]++;
+  }
+
   for (int d = 0; d < num_devices_; ++d) {
     const LocalGraph& lg = dg.part(d);
     for (VertexId m = lg.num_masters; m < lg.num_local; ++m) {
       const VertexId gid = lg.l2g[m];
-      const int owner = dg.master_of(gid);
+      const int owner = master_of[gid];
       const LocalGraph& master_part = dg.part(owner);
-      const auto it = master_part.g2l.find(gid);
-      if (it == master_part.g2l.end()) {
+      const VertexId master_local = rank[gid];
+      if (master_local >= master_part.num_masters ||
+          master_part.l2g[master_local] != gid) {
         throw std::logic_error(
             "SyncStructure: master proxy missing on owner device");
       }
-      const VertexId master_local = it->second;
       const std::size_t s = slot(d, owner);
       all_[s].mirror_local.push_back(m);
       all_[s].master_local.push_back(master_local);

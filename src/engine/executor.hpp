@@ -1434,10 +1434,10 @@ class Executor {
         continue;  // nothing live to corrupt
       }
       const auto& lg = dg().part(f.device);
-      const auto it = lg.g2l.find(static_cast<VertexId>(f.vertex));
-      if (it == lg.g2l.end()) continue;  // not resident on this layout
+      const auto lv = lg.local_of(static_cast<VertexId>(f.vertex));
+      if (!lv) continue;  // not resident on this layout
       auto vals = program_.bcast_mirror_dst(devs_[f.device].state);
-      flip_bit(vals[it->second], f.bit);
+      flip_bit(vals[*lv], f.bit);
       fault_global_.sdc_injected += 1;
       fault_global_.sdc_for(f.device).label_flips += 1;
       flight().record(obs::FlightKind::kFault, f.device,
@@ -2175,22 +2175,17 @@ class Executor {
         const VertexId gv = nlg.l2g[v];
         RehomeRole role = RehomeRole::kFresh;
         const std::vector<char>* src = nullptr;
-        if (const auto it = olg.g2l.find(gv);
-            it != olg.g2l.end() && !own.empty()) {
-          src = &own[it->second];
-          role = nlg.is_master(v) && !olg.is_master(it->second)
+        if (const auto ov = olg.local_of(gv); ov && !own.empty()) {
+          src = &own[*ov];
+          role = nlg.is_master(v) && !olg.is_master(*ov)
                      ? RehomeRole::kPromotedMaster
                      : RehomeRole::kKept;
           if (role == RehomeRole::kPromotedMaster && have_lost_state) {
-            if (const auto lit = lost_part.g2l.find(gv);
-                lit != lost_part.g2l.end()) {
-              src = &lost[lit->second];
-            }
+            if (const auto lv = lost_part.local_of(gv)) src = &lost[*lv];
           }
         } else if (have_lost_state) {
-          if (const auto lit = lost_part.g2l.find(gv);
-              lit != lost_part.g2l.end()) {
-            src = &lost[lit->second];
+          if (const auto lv = lost_part.local_of(gv)) {
+            src = &lost[*lv];
             role = RehomeRole::kAdopted;
           }
         }

@@ -1,8 +1,9 @@
 #include "partition/detail.hpp"
 
 #include <algorithm>
-#include <stdexcept>
+#include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "sim/rng.hpp"
 
@@ -102,6 +103,7 @@ EdgeId hvc_threshold_for(double factor, EdgeId edges, VertexId vertices) {
 LocalGraph build_local_graph(int device,
                              const std::vector<VertexId>& masters,
                              const std::vector<RawEdge>& edges,
+                             VertexId global_vertices,
                              std::span<const EdgeId> global_out_deg,
                              std::span<const EdgeId> global_in_deg,
                              bool weighted) {
@@ -109,33 +111,35 @@ LocalGraph build_local_graph(int device,
   lg.device = device;
 
   // Local id space: masters first, then mirrors sorted by global id.
+  // `local` is dense scratch over global ids: kAbsent until a proxy
+  // exists here, then its local id (mirrors hold a placeholder until
+  // they are sorted).
+  constexpr VertexId kAbsent = std::numeric_limits<VertexId>::max();
+  std::vector<VertexId> local(global_vertices, kAbsent);
   lg.num_masters = static_cast<VertexId>(masters.size());
   lg.l2g = masters;
-  lg.g2l.reserve(masters.size() * 2);
-  for (VertexId i = 0; i < lg.num_masters; ++i) {
-    lg.g2l.emplace(masters[i], i);
-  }
+  for (VertexId i = 0; i < lg.num_masters; ++i) local[masters[i]] = i;
   std::vector<VertexId> mirrors;
+  const auto claim = [&](VertexId v) {
+    if (local[v] == kAbsent) {
+      local[v] = 0;  // placeholder; fixed below
+      mirrors.push_back(v);
+    }
+  };
   for (const RawEdge& e : edges) {
-    if (!lg.g2l.contains(e.src)) {
-      lg.g2l.emplace(e.src, 0);  // placeholder; fixed below
-      mirrors.push_back(e.src);
-    }
-    if (!lg.g2l.contains(e.dst)) {
-      lg.g2l.emplace(e.dst, 0);
-      mirrors.push_back(e.dst);
-    }
+    claim(e.src);
+    claim(e.dst);
   }
   std::sort(mirrors.begin(), mirrors.end());
   for (VertexId i = 0; i < mirrors.size(); ++i) {
-    lg.g2l[mirrors[i]] = lg.num_masters + i;
+    local[mirrors[i]] = lg.num_masters + i;
   }
   lg.l2g.insert(lg.l2g.end(), mirrors.begin(), mirrors.end());
   lg.num_local = static_cast<VertexId>(lg.l2g.size());
 
   // Out-CSR over local ids.
   lg.out_offsets.assign(lg.num_local + 1, 0);
-  for (const RawEdge& e : edges) ++lg.out_offsets[lg.g2l[e.src] + 1];
+  for (const RawEdge& e : edges) ++lg.out_offsets[local[e.src] + 1];
   std::partial_sum(lg.out_offsets.begin(), lg.out_offsets.end(),
                    lg.out_offsets.begin());
   lg.out_dsts.resize(edges.size());
@@ -144,8 +148,8 @@ LocalGraph build_local_graph(int device,
     std::vector<EdgeId> cursor(lg.out_offsets.begin(),
                                lg.out_offsets.end() - 1);
     for (const RawEdge& e : edges) {
-      const EdgeId slot = cursor[lg.g2l[e.src]]++;
-      lg.out_dsts[slot] = lg.g2l[e.dst];
+      const EdgeId slot = cursor[local[e.src]]++;
+      lg.out_dsts[slot] = local[e.dst];
       if (weighted) lg.out_weights[slot] = e.w;
     }
   }

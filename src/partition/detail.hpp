@@ -49,9 +49,10 @@ struct RawEdge {
 
 /// Builds one device's LocalGraph from its assigned edges and owned
 /// masters (masters in global-id order; mirrors appended sorted).
+/// Every id in `masters` and `edges` is below `global_vertices`.
 [[nodiscard]] LocalGraph build_local_graph(
     int device, const std::vector<graph::VertexId>& masters,
-    const std::vector<RawEdge>& edges,
+    const std::vector<RawEdge>& edges, graph::VertexId global_vertices,
     std::span<const graph::EdgeId> global_out_deg,
     std::span<const graph::EdgeId> global_in_deg, bool weighted);
 

@@ -177,8 +177,8 @@ DistGraph partition_graph(const Csr& g, const PartitionOptions& options) {
       [&](std::size_t lo, std::size_t hi, std::size_t) {
         for (std::size_t d = lo; d < hi; ++d) {
           dg.parts_[d] = detail::build_local_graph(
-              static_cast<int>(d), dev_masters[d], dev_edges[d], out_deg,
-              in_deg, weighted);
+              static_cast<int>(d), dev_masters[d], dev_edges[d], n,
+              out_deg, in_deg, weighted);
         }
       });
 

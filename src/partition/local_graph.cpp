@@ -1,11 +1,26 @@
 #include "partition/local_graph.hpp"
 
+#include <algorithm>
+
 namespace sg::partition {
+
+std::optional<graph::VertexId> LocalGraph::local_of(
+    graph::VertexId gid) const {
+  const auto search = [&](graph::VertexId lo, graph::VertexId hi)
+      -> std::optional<graph::VertexId> {
+    const auto last = l2g.begin() + hi;
+    const auto it = std::lower_bound(l2g.begin() + lo, last, gid);
+    if (it == last || *it != gid) return std::nullopt;
+    return static_cast<graph::VertexId>(it - l2g.begin());
+  };
+  if (const auto v = search(0, num_masters)) return v;
+  return search(num_masters, num_local);
+}
 
 std::uint64_t LocalGraph::bytes() const {
   // What the GPU holds: both CSR directions, the local->global table,
-  // the per-vertex flags, and the global out-degree array. The g2l map
-  // lives host-side (Gluon memoizes translation, Section III-D2).
+  // the per-vertex flags, and the global degree arrays. Global->local
+  // translation needs no table of its own: `local_of` searches l2g.
   std::uint64_t b = 0;
   b += out_offsets.size() * sizeof(graph::EdgeId);
   b += out_dsts.size() * sizeof(graph::VertexId);

@@ -1,8 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/types.hpp"
@@ -19,7 +19,8 @@ enum VertexFlag : std::uint8_t {
 /// One device's share of the distributed graph.
 ///
 /// Local vertex ids are dense: masters first ([0, num_masters)), then
-/// mirrors. Both the out-CSR (push operators) and in-CSR (pull
+/// mirrors, each range in ascending global-id order. `local_of` relies
+/// on that order; no global->local map is stored. Both the out-CSR (push operators) and in-CSR (pull
 /// operators) are stored over local ids. `global_out_degree` carries the
 /// *whole-graph* out-degree of each local vertex (pagerank divides by
 /// it; a partition only sees a subset of the edges).
@@ -37,7 +38,6 @@ struct LocalGraph {
   std::vector<graph::Weight> in_weights;    // optional
 
   std::vector<graph::VertexId> l2g;         // local -> global
-  std::unordered_map<graph::VertexId, graph::VertexId> g2l;
   std::vector<std::uint8_t> vertex_flags;   // VertexFlag bits
   std::vector<graph::VertexId> global_out_degree;
   std::vector<graph::VertexId> global_in_degree;
@@ -73,6 +73,12 @@ struct LocalGraph {
     return {in_srcs.data() + in_offsets[local],
             static_cast<std::size_t>(in_degree(local))};
   }
+
+  /// Local id of global vertex `gid` on this device, or nullopt when
+  /// the device holds no proxy of it. Binary search over the sorted
+  /// master range, then the sorted mirror range.
+  [[nodiscard]] std::optional<graph::VertexId> local_of(
+      graph::VertexId gid) const;
 
   /// Bytes this partition occupies in device memory (graph topology
   /// only; labels and buffers are charged separately by the engine).

@@ -18,14 +18,18 @@ namespace sg::partition {
 ///
 /// Loading reconstructs a DistGraph bit-identical to the one stored
 /// (including partition statistics), so a loaded partition can be used
-/// with the communication substrate and executors directly.
+/// with the communication substrate and executors directly. A part whose
+/// local numbering is not masters then mirrors, each strictly ascending
+/// by global id and below the manifest's vertex count, is refused with a
+/// std::runtime_error naming the file, checksum or not.
 void save_partition(const DistGraph& dg, const std::filesystem::path& dir);
 
 [[nodiscard]] DistGraph load_partition(const std::filesystem::path& dir);
 
-/// Re-reads one device's part file (checksum-verified). The fault
-/// layer's elastic redistribution uses this to recover a lost device's
-/// subgraph from durable storage without reloading the whole store.
+/// Re-reads one device's part file (checksum-verified, and checked like
+/// load_partition against the manifest). The fault layer's elastic
+/// redistribution uses this to recover a lost device's subgraph from
+/// durable storage without reloading the other parts.
 [[nodiscard]] LocalGraph load_partition_part(const std::filesystem::path& dir,
                                              int device);
 

@@ -79,7 +79,7 @@ RehomeResult rehome_partition(const DistGraph& old, int lost_device,
     int elected = -1;
     for (int d = 0; d < n; ++d) {
       if (gone(d)) continue;
-      if (old.part(d).g2l.contains(gv)) {
+      if (old.part(d).local_of(gv)) {
         elected = d;
         break;
       }
@@ -96,7 +96,7 @@ RehomeResult rehome_partition(const DistGraph& old, int lost_device,
   // --- Elastic redistribution: orphans go to the survivor with the
   // most free headroom (deterministic tie-break: lowest device id).
   for (const graph::VertexId gv : result.orphaned) {
-    const graph::VertexId lv = lost_part.g2l.at(gv);
+    const graph::VertexId lv = lost_part.local_of(gv).value();
     const std::uint64_t cost =
         kVertexBytes + (lost_part.out_degree(lv) + lost_part.in_degree(lv)) *
                            kEdgeBytes;
@@ -145,7 +145,7 @@ RehomeResult rehome_partition(const DistGraph& old, int lost_device,
     } else {
       for (int d = 0; d < n; ++d) {
         if (gone(d)) continue;
-        if (!old.part(d).g2l.contains(gu)) {
+        if (!old.part(d).local_of(gu)) {
           target = d;
           break;
         }
@@ -190,7 +190,7 @@ RehomeResult rehome_partition(const DistGraph& old, int lost_device,
   for (int d = 0; d < n; ++d) {
     parts.push_back(detail::build_local_graph(
         d, masters_by_dev[static_cast<std::size_t>(d)],
-        edges_by_dev[static_cast<std::size_t>(d)], g_out, g_in,
+        edges_by_dev[static_cast<std::size_t>(d)], gv_count, g_out, g_in,
         old.weighted()));
   }
 
@@ -278,13 +278,13 @@ RebalanceResult rebalance_partition(const DistGraph& old, int hot_device,
   };
 
   for (const graph::VertexId gv : result.moved) {
-    const graph::VertexId lv = hot.g2l.at(gv);
+    const graph::VertexId lv = hot.local_of(gv).value();
     const std::uint64_t cost =
         kVertexBytes + hot.out_degree(lv) * kEdgeBytes;
     int target = -1;
     for (int d = 0; d < n; ++d) {
       if (gone(d)) continue;
-      if (old.part(d).g2l.contains(gv) &&
+      if (old.part(d).local_of(gv) &&
           headroom[static_cast<std::size_t>(d)] >= cost) {
         target = d;
         break;
@@ -370,7 +370,7 @@ RebalanceResult rebalance_partition(const DistGraph& old, int hot_device,
   for (int d = 0; d < n; ++d) {
     parts.push_back(detail::build_local_graph(
         d, masters_by_dev[static_cast<std::size_t>(d)],
-        edges_by_dev[static_cast<std::size_t>(d)], g_out, g_in,
+        edges_by_dev[static_cast<std::size_t>(d)], gv_count, g_out, g_in,
         old.weighted()));
   }
 

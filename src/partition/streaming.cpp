@@ -164,8 +164,8 @@ DistGraph partition_stream(EdgeSource& source,
       [&](std::size_t lo, std::size_t hi, std::size_t) {
         for (std::size_t d = lo; d < hi; ++d) {
           parts[d] = detail::build_local_graph(
-              static_cast<int>(d), dev_masters[d], dev_edges[d], out_deg,
-              in_deg, weighted);
+              static_cast<int>(d), dev_masters[d], dev_edges[d], n,
+              out_deg, in_deg, weighted);
         }
       });
 

@@ -569,13 +569,13 @@ TEST(RehomeTest, ElectsLowestSurvivingProxyHolderAndKeepsIndicesStable) {
   for (const graph::VertexId gv : res.rehomed) {
     int expected = -1;
     for (int d = 0; d < 4 && expected < 0; ++d) {
-      if (d != lost && prep.dist.part(d).g2l.contains(gv)) expected = d;
+      if (d != lost && prep.dist.part(d).local_of(gv)) expected = d;
     }
     ASSERT_GE(expected, 0);
     const auto& nlg = res.dg.part(expected);
-    const auto it = nlg.g2l.find(gv);
-    ASSERT_NE(it, nlg.g2l.end());
-    EXPECT_TRUE(nlg.is_master(it->second))
+    const auto v = nlg.local_of(gv);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_TRUE(nlg.is_master(*v))
         << "vertex " << gv << " not mastered on lowest survivor "
         << expected;
   }
@@ -599,9 +599,9 @@ TEST(RehomeTest, OrphanPlacementFollowsHeadroomAndRejectsOverflow) {
       prep.dist, lost, prep.dist.part(lost), only3, {});
   for (const graph::VertexId gv : steered.orphaned) {
     const auto& lg = steered.dg.part(3);
-    const auto it = lg.g2l.find(gv);
-    ASSERT_NE(it, lg.g2l.end());
-    EXPECT_TRUE(lg.is_master(it->second));
+    const auto v = lg.local_of(gv);
+    ASSERT_TRUE(v.has_value());
+    EXPECT_TRUE(lg.is_master(*v));
   }
 
   // No survivor can absorb anything: descriptive rejection.

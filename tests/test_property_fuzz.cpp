@@ -359,6 +359,70 @@ TEST_P(CorruptionFuzz, CorruptLengthFieldIsRejectedWithoutAllocating) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CorruptionFuzz,
                          testing::Range<std::uint64_t>(1, 13));
 
+// A checksum only proves the bytes are the ones written. These parts are
+// written correctly through save_partition but break the numbering that
+// global->local lookups search (masters then mirrors, each ascending,
+// every id below |V|), so loading must refuse them by name.
+TEST(PartitionStoreValidation, RejectsCorrectlySealedBadNumbering) {
+  sim::Rng rng{7};
+  const graph::VertexId n = 96;
+  const auto g = graph::build_csr(random_edges(rng, n, 4 * n, false), n);
+  const auto pristine = partition::partition_graph(
+      g, {.policy = partition::Policy::CVC, .num_devices = 4});
+  ASSERT_GE(pristine.part(1).num_masters, 2u);
+  ASSERT_GE(pristine.part(1).num_mirrors(), 2u);
+
+  const auto expect_rejected = [&](const std::string& how, auto&& mutate) {
+    auto dg = pristine;
+    mutate(dg.part(1));
+    const auto dir = fuzz_dir("sg_bad_numbering");
+    partition::save_partition(dg, dir);
+    for (const bool whole : {true, false}) {
+      try {
+        if (whole) {
+          (void)partition::load_partition(dir);
+        } else {
+          (void)partition::load_partition_part(dir, 1);
+        }
+        ADD_FAILURE() << how << " loaded silently";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("part_1.sgp"), std::string::npos)
+            << how << ": " << e.what();
+      }
+    }
+  };
+  expect_rejected("two master ids swapped", [](partition::LocalGraph& lg) {
+    std::swap(lg.l2g[0], lg.l2g[1]);
+  });
+  expect_rejected("two mirror ids swapped", [](partition::LocalGraph& lg) {
+    std::swap(lg.l2g[lg.num_masters], lg.l2g[lg.num_masters + 1]);
+  });
+  expect_rejected("more masters than vertices", [](partition::LocalGraph& lg) {
+    lg.num_masters = lg.num_local + 1;
+  });
+  expect_rejected("global id at |V|", [&](partition::LocalGraph& lg) {
+    lg.l2g.back() = n;
+  });
+
+  // A master directory naming a device outside the layout.
+  auto master_of = pristine.master_directory();
+  master_of[3] = pristine.num_devices();
+  const auto bad = partition::DistGraph::assemble(
+      pristine.parts(), master_of, n, pristine.global_edges(),
+      pristine.weighted(), pristine.options(), pristine.grid(),
+      pristine.stats());
+  const auto dir = fuzz_dir("sg_bad_directory");
+  partition::save_partition(bad, dir);
+  try {
+    (void)partition::load_partition(dir);
+    ADD_FAILURE() << "out-of-range master directory loaded silently";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("master directory"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---- wire-protocol anomaly fuzzing --------------------------------------
 //
 // The versioned wire protocol (src/comm/wire.hpp) must mask every

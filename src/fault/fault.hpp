@@ -514,6 +514,10 @@ struct FaultStats {
   /// Per-device SDC ledger, sorted by device. Empty unless SDC faults
   /// were injected or the auditor flagged something.
   std::vector<SdcStats> sdc;
+  /// How often the executor noted each incident kind, indexed by
+  /// fault::Incident (fault/incident.hpp); empty until the first one.
+  /// Not part of the run report.
+  std::vector<std::uint64_t> noted;
 
   /// Find-or-insert the SDC slot for `device`, keeping `sdc` sorted so
   /// merged stats are deterministic.
@@ -625,6 +629,8 @@ struct FaultStats {
       mine.migrations_off += d.migrations_off;
       mine.masters_moved_off += d.masters_moved_off;
     }
+    if (noted.size() < o.noted.size()) noted.resize(o.noted.size());
+    for (std::size_t i = 0; i < o.noted.size(); ++i) noted[i] += o.noted[i];
     checkpoint_time = checkpoint_time + o.checkpoint_time;
     recovery_time = recovery_time + o.recovery_time;
     straggler_delay = straggler_delay + o.straggler_delay;

@@ -140,8 +140,8 @@ void BatchScheduler::note_queue_depth() {
 }
 
 void BatchScheduler::bump_epoch() {
-  ++cfg_.graph_epoch;
-  for (ResultCache& c : caches_) c.invalidate_stale(cfg_.graph_epoch);
+  ++graph_epoch_;
+  for (ResultCache& c : caches_) c.invalidate_stale(graph_epoch_);
 }
 
 void BatchScheduler::answer_from_dist(const Query& q,
@@ -172,20 +172,20 @@ bool BatchScheduler::try_serve_from_cache(const Pending& p, Answer& a) {
   switch (q.kind) {
     case QueryKind::kBfsDist:
     case QueryKind::kKhopCount: {
-      const auto* dist = cache.find_bfs(q.source, cfg_.graph_epoch);
+      const auto* dist = cache.find_bfs(q.source, graph_epoch_);
       if (dist == nullptr) return false;
       answer_from_dist(q, *dist, a);
       return true;
     }
     case QueryKind::kSsspDist: {
-      const auto* dist = cache.find_sssp(q.source, cfg_.graph_epoch);
+      const auto* dist = cache.find_sssp(q.source, graph_epoch_);
       if (dist == nullptr) return false;
       a.distance = (*dist)[q.target];
       return true;
     }
     case QueryKind::kPprTopK: {
       const auto* ranked = cache.find_ppr(q.source, cfg_.ppr_alpha,
-                                          cfg_.ppr_eps, cfg_.graph_epoch);
+                                          cfg_.ppr_eps, graph_epoch_);
       if (ranked == nullptr) return false;
       const std::size_t k = std::min<std::size_t>(q.k, ranked->size());
       a.topk.assign(ranked->begin(), ranked->begin() + k);
@@ -204,9 +204,9 @@ bool BatchScheduler::try_serve_degraded(const Pending& p, Answer& a) {
   const ResultCache& cache = cache_of(q.tenant);
   std::uint64_t ub = kUnreachable;
   if (q.kind == QueryKind::kBfsDist) {
-    ub = cache.hop_bound(q.source, q.target, cfg_.graph_epoch);
+    ub = cache.hop_bound(q.source, q.target, graph_epoch_);
   } else if (q.kind == QueryKind::kSsspDist) {
-    ub = cache.sssp_bound(q.source, q.target, cfg_.graph_epoch);
+    ub = cache.sssp_bound(q.source, q.target, graph_epoch_);
   }
   if (ub == kUnreachable) return false;
   a.distance = ub;
@@ -711,12 +711,12 @@ void BatchScheduler::dispatch_batch(std::vector<Answer>& answers) {
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     for (const auto& [home, owner] : sinks[i]) {
       if (is_hop_query(head.kind)) {
-        caches_[home].put_bfs(lanes[i], cfg_.graph_epoch, hop_dist[i], owner);
+        caches_[home].put_bfs(lanes[i], graph_epoch_, hop_dist[i], owner);
       } else if (head.kind == QueryKind::kPprTopK) {
         caches_[home].put_ppr(lanes[i], cfg_.ppr_alpha, cfg_.ppr_eps,
-                              cfg_.graph_epoch, ppr_ranked[i], owner);
+                              graph_epoch_, ppr_ranked[i], owner);
       } else {
-        caches_[home].put_sssp(lanes[i], cfg_.graph_epoch, sssp_dist[i],
+        caches_[home].put_sssp(lanes[i], graph_epoch_, sssp_dist[i],
                                owner);
       }
     }
@@ -809,7 +809,7 @@ std::string BatchScheduler::report_json(double host_wall_ms) const {
   w.kv("ppr_cache_capacity", cfg_.ppr_cache_capacity);
   w.kv("ppr_alpha", cfg_.ppr_alpha);
   w.kv("ppr_eps", cfg_.ppr_eps);
-  w.kv("graph_epoch", cfg_.graph_epoch);
+  w.kv("graph_epoch", graph_epoch_);
   // The robustness knobs surface only when armed, so a default config
   // block is byte-identical to one from a build without the layer.
   if (cfg_.brownout.enabled) {

@@ -49,9 +49,6 @@ struct ServeConfig {
   /// ppr-topk query in a scheduler is batch-compatible by construction.
   double ppr_alpha = 0.15;
   double ppr_eps = 1e-6;
-  /// Current graph epoch; cache keys carry it, bump_epoch() strands old
-  /// entries.
-  std::uint64_t graph_epoch = 0;
   /// Keep a BatchRecord per engine run (sg_serve --verify replays them).
   bool record_batches = false;
   /// Overload robustness layer (DESIGN.md §16). Every policy defaults
@@ -198,7 +195,7 @@ class BatchScheduler {
   [[nodiscard]] const std::vector<engine::RunStats>& engine_stats() const {
     return engine_stats_;
   }
-  [[nodiscard]] std::uint64_t graph_epoch() const { return cfg_.graph_epoch; }
+  [[nodiscard]] std::uint64_t graph_epoch() const { return graph_epoch_; }
   [[nodiscard]] const BrownoutController& brownout() const {
     return brownout_;
   }
@@ -262,6 +259,9 @@ class BatchScheduler {
   const sim::CostParams& params_;
   engine::EngineConfig engine_cfg_;
   ServeConfig cfg_;
+  /// Current graph epoch; cache keys carry it, bump_epoch() strands old
+  /// entries.
+  std::uint64_t graph_epoch_ = 0;
 
   AdmissionController admission_;
   std::vector<ResultCache> caches_;  ///< one per shard home

@@ -6,7 +6,6 @@
 
 #include "comm/reduction.hpp"
 #include "engine/executor.hpp"
-#include "integrity/audit.hpp"
 
 namespace sg::algo {
 
@@ -122,8 +121,7 @@ class CcProgram {
   /// fixed-point check can see.
   [[nodiscard]] std::string audit_global(
       std::span<const partition::LocalGraph* const> lgs,
-      std::span<const DeviceState* const> sts,
-      const integrity::AuditPolicy&) const {
+      std::span<const DeviceState* const> sts) const {
     graph::VertexId n = 0;
     for (const partition::LocalGraph* lg : lgs) {
       for (graph::VertexId v = 0; v < lg->num_local; ++v) {

@@ -36,8 +36,7 @@ class DirectionOptBfsProgram : public BfsProgram {
   std::string audit_device(const partition::LocalGraph&,
                            const DeviceState&) const = delete;
   std::string audit_global(std::span<const partition::LocalGraph* const>,
-                           std::span<const DeviceState* const>,
-                           const integrity::AuditPolicy&) const = delete;
+                           std::span<const DeviceState* const>) const = delete;
 
   bool compute_round(const partition::LocalGraph& lg, DeviceState& st,
                      std::span<const graph::VertexId> frontier,

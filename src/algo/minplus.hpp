@@ -12,7 +12,6 @@
 #include "algo/results.hpp"
 #include "comm/reduction.hpp"
 #include "engine/executor.hpp"
-#include "integrity/audit.hpp"
 
 namespace sg::algo {
 
@@ -194,8 +193,7 @@ class MinPlusProgram
   /// corrupted vertex or its frontier.
   [[nodiscard]] std::string audit_global(
       std::span<const partition::LocalGraph* const> lgs,
-      std::span<const DeviceState* const> sts,
-      const integrity::AuditPolicy&) const {
+      std::span<const DeviceState* const> sts) const {
     graph::VertexId n = 0;
     for (const partition::LocalGraph* lg : lgs) {
       for (const graph::VertexId g : lg->l2g) n = std::max(n, g + 1);

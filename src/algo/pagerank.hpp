@@ -8,7 +8,6 @@
 
 #include "comm/reduction.hpp"
 #include "engine/executor.hpp"
-#include "integrity/audit.hpp"
 
 namespace sg::algo {
 
@@ -245,14 +244,14 @@ class PageRankPullProgram {
   /// Termination certificate at the final audit: a quiescent run left
   /// no pending residual above tolerance, no unshipped mirror partials,
   /// and every consuming master carries at least the base rank mass
-  /// (1 - alpha, less `rank_epsilon` relative slack).
+  /// (1 - alpha, less kRankEpsilon relative slack; the per-barrier
+  /// rank-vs-ledger check is exact by construction and uses none).
   [[nodiscard]] std::string audit_global(
       std::span<const partition::LocalGraph* const> lgs,
-      std::span<const DeviceState* const> sts,
-      const integrity::AuditPolicy& policy) const {
+      std::span<const DeviceState* const> sts) const {
+    constexpr double kRankEpsilon = 1e-9;
     const float floor =
-        (1.0f - alpha_) *
-        (1.0f - static_cast<float>(policy.rank_epsilon));
+        (1.0f - alpha_) * (1.0f - static_cast<float>(kRankEpsilon));
     for (std::size_t i = 0; i < lgs.size(); ++i) {
       const partition::LocalGraph& lg = *lgs[i];
       const DeviceState& st = *sts[i];

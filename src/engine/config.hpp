@@ -102,9 +102,12 @@ struct EngineConfig {
   /// with it on or off. Disable to study unprotected behaviour (sg_chaos
   /// --inject-defect does).
   bool wire_protocol = true;
-  /// Self-healing delivery parameters (used only when faults are
-  /// active; lossless runs pay nothing).
-  fault::RetryPolicy retry;
+  /// Self-healing delivery (used only when faults are active; lossless
+  /// runs pay nothing): an unacknowledged message is retransmitted
+  /// after a timeout that doubles per attempt. The final attempt
+  /// (attempt == max_retries) always delivers, bounding worst-case
+  /// delay and guaranteeing BASP cannot deadlock on a lossy link.
+  int max_retries = 5;
   /// BSP-barrier checkpoint cadence; interval_rounds 0 disables. Under
   /// BASP checkpoints are taken at Safra-clean quiescence points (all
   /// devices parked, nothing in flight) instead of barriers.

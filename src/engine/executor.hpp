@@ -823,7 +823,10 @@ class Executor {
       retransmit();
       start = heal;
     }
-    sim::SimTime timeout = config_.retry.timeout;
+    // Delivery timeout of the first attempt; it doubles per retry.
+    constexpr sim::SimTime kRetryTimeout = sim::SimTime::micros(50.0);
+    constexpr double kRetryBackoff = 2.0;
+    sim::SimTime timeout = kRetryTimeout;
     for (int attempt = 0;; ++attempt) {
       const double factor = injector_.link_delay_factor(sh, dh, start);
       const double lat = injector_.link_latency_factor(sh, dh, start);
@@ -834,7 +837,7 @@ class Executor {
       if (lat > 1.0) {
         hop = hop + net_.host_to_host_fixed(from, to) * (lat - 1.0);
       }
-      const bool last = attempt >= config_.retry.max_retries;
+      const bool last = attempt >= config_.max_retries;
       if (!last &&
           injector_.drops_message(from, to, kind, round, attempt, start)) {
         // Dropped: the bytes still crossed (part of) the wire, the
@@ -843,7 +846,7 @@ class Executor {
         retransmit();
         account_network(from, to, bytes);
         start += timeout;
-        timeout = timeout * config_.retry.backoff;
+        timeout = timeout * kRetryBackoff;
         continue;
       }
       // This attempt reaches the receiver. In-flight corruption:
@@ -858,7 +861,7 @@ class Executor {
           retransmit();
           account_network(from, to, bytes);
           start += timeout;
-          timeout = timeout * config_.retry.backoff;
+          timeout = timeout * kRetryBackoff;
           continue;
         }
         if (!config_.wire_protocol) {
@@ -884,14 +887,14 @@ class Executor {
         // reorder buffer (protocol on) restores apply order.
         const double u = injector_.anomaly_uniform(kReorderDelaySalt, from,
                                                    to, kind, round);
-        arrival = arrival + config_.retry.timeout * (0.5 + 3.0 * u);
+        arrival = arrival + kRetryTimeout * (0.5 + 3.0 * u);
         note(fault::Incident::kReorder, from, to, rnd, size, start);
       }
       if (injector_.duplicates_message(from, to, kind, round, start)) {
         const double u = injector_.anomaly_uniform(kGhostDelaySalt, from, to,
                                                    kind, round);
         r.duplicate = true;
-        r.dup_arrival = arrival + config_.retry.timeout * (0.5 + 3.0 * u);
+        r.dup_arrival = arrival + kRetryTimeout * (0.5 + 3.0 * u);
         note(fault::Incident::kDupInject, from, to, rnd, size, start);
       }
       r.arrival = arrival;
@@ -1144,6 +1147,13 @@ class Executor {
   /// the whole computation on the shrunken layout.
   static constexpr bool kRehomable =
       fault::RehomableState<typename Program::DeviceState>;
+  /// Modeled snapshot storage: disk bandwidth (bytes/s) for checkpoint
+  /// writes, read-back verification and partition-store re-reads, and
+  /// a fixed latency per snapshot write and per restore or re-init.
+  static constexpr double kDiskBw = 2e9;
+  static constexpr sim::SimTime kWriteLatency = sim::SimTime::micros(200.0);
+  static constexpr sim::SimTime kRestoreLatency =
+      sim::SimTime::micros(200.0);
 
   [[nodiscard]] std::vector<char> snapshot_device(int d) {
     partition::ByteWriter w;
@@ -1181,10 +1191,10 @@ class Executor {
       if (dead_[d] != 0 && !include_dead) continue;
       restore_device(d, last_ckpt_.devices[d].bytes);
       const auto n = last_ckpt_.devices[d].bytes.size();
-      worst = sim::max(worst, config_.checkpoint.restore_latency +
-                                  sim::SimTime{static_cast<double>(n) /
-                                               config_.checkpoint.disk_bw} +
-                                  net_.host_to_device(n));
+      const sim::SimTime t = kRestoreLatency +
+                             sim::SimTime{static_cast<double>(n) / kDiskBw} +
+                             net_.host_to_device(n);
+      worst = sim::max(worst, t);
     }
     return worst;
   }
@@ -1205,8 +1215,7 @@ class Executor {
     dev.progress = !dev.frontier.empty();
     const std::uint64_t label_bytes =
         static_cast<std::uint64_t>(lg.num_local) * (sizeof(RV) + sizeof(BV));
-    return config_.checkpoint.restore_latency +
-           net_.host_to_device(label_bytes);
+    return kRestoreLatency + net_.host_to_device(label_bytes);
   }
 
   /// Runs crash detection/recovery and periodic checkpointing at the
@@ -1278,9 +1287,8 @@ class Executor {
     for (int d = 0; d < devices_; ++d) {
       ck.devices[d].bytes = snapshot_device(d);
       const auto n = ck.devices[d].bytes.size();
-      const sim::SimTime t =
-          config_.checkpoint.write_latency + net_.device_to_host(n) +
-          sim::SimTime{static_cast<double>(n) / config_.checkpoint.disk_bw};
+      const sim::SimTime t = kWriteLatency + net_.device_to_host(n) +
+                             sim::SimTime{static_cast<double>(n) / kDiskBw};
       worst = sim::max(worst, t);  // devices snapshot in parallel
     }
     // kCheckpointBitFlip: corrupt the serialized blob *after* the
@@ -1321,7 +1329,7 @@ class Executor {
         std::vector<char> fresh = snapshot_device(d);
         worst = sim::max(worst,
                          sim::SimTime{static_cast<double>(fresh.size()) /
-                                      config_.checkpoint.disk_bw});
+                                      kDiskBw});
         if (fresh == ck.devices[d].bytes) continue;
         note(fault::Incident::kCheckpointViolation, d);
         if (config_.audit.repairs()) {
@@ -1535,7 +1543,7 @@ class Executor {
             lgs.push_back(&dg().part(d));
             sts.push_back(&devs_[d].state);
           }
-          const std::string msg = program_.audit_global(lgs, sts, pol);
+          const std::string msg = program_.audit_global(lgs, sts);
           if (!msg.empty()) {
             rollback_needed = true;
             note(fault::Incident::kCertificate, -1, -1,
@@ -1779,8 +1787,8 @@ class Executor {
     if (!config_.partition_store_dir.empty()) {
       lost_part =
           partition::load_partition_part(config_.partition_store_dir, cd);
-      cost = cost + sim::SimTime{static_cast<double>(lost_part.bytes()) /
-                                 config_.checkpoint.disk_bw};
+      cost = cost +
+             sim::SimTime{static_cast<double>(lost_part.bytes()) / kDiskBw};
     } else {
       lost_part = old_dg.part(cd);
     }
@@ -1853,7 +1861,7 @@ class Executor {
     return migrate_device(a, now);
   }
 
-  /// Moves the hottest `migrate_fraction` of `cd`'s masters onto
+  /// Moves the hottest half of `cd`'s masters (at least one) onto
   /// healthier devices at a safe cut, bit-exactly: every live device's
   /// per-vertex state is harvested, the layout is rebuilt via
   /// partition::rebalance_partition, and promoted/adopted masters take
@@ -1869,12 +1877,12 @@ class Executor {
       (void)now;
       return sim::SimTime{};
     } else {
+      constexpr double kMigrateFraction = 0.5;
       const int cd = a.device;
       const partition::DistGraph& old_dg = dg();
       partition::RebalanceResult plan;
       try {
-        plan = partition::rebalance_partition(old_dg, cd,
-                                              gray_.policy().migrate_fraction,
+        plan = partition::rebalance_partition(old_dg, cd, kMigrateFraction,
                                               headroom_except(cd), dead_);
       } catch (const std::exception&) {
         // No live device can absorb the hottest shards (pressure

@@ -274,17 +274,6 @@ struct FaultPlan {
   void validate_or_throw(int num_devices, int num_hosts) const;
 };
 
-/// Self-healing delivery: a message not acknowledged within `timeout`
-/// of simulated time is retransmitted, with the timeout growing by
-/// `backoff` per attempt. The final attempt (attempt == max_retries)
-/// always delivers, bounding worst-case delay and guaranteeing BASP
-/// cannot deadlock on a lossy link.
-struct RetryPolicy {
-  sim::SimTime timeout = sim::SimTime::micros(50.0);
-  double backoff = 2.0;
-  int max_retries = 5;
-};
-
 /// BSP-barrier checkpointing. `interval_rounds` of zero disables
 /// checkpointing (crash recovery then falls back to degraded re-init).
 /// When `dir` is non-empty snapshots are persisted there with the same
@@ -293,9 +282,6 @@ struct RetryPolicy {
 struct CheckpointPolicy {
   int interval_rounds = 0;
   std::filesystem::path dir;
-  double disk_bw = 2e9;  ///< bytes/s for the modeled snapshot write
-  sim::SimTime write_latency = sim::SimTime::micros(200.0);
-  sim::SimTime restore_latency = sim::SimTime::micros(200.0);
 };
 
 /// Parameters for the φ-accrual failure detector (Hayashibara et al.)
@@ -304,20 +290,16 @@ struct CheckpointPolicy {
 /// slowdown in effect); the detector keeps a sliding window of
 /// inter-arrival times per device and computes
 ///   φ(t) = -log10(P(a later heartbeat arrives after gap t))
-/// under a normal fit of the window. φ >= `phi_suspect` marks the
-/// device *suspected* (straggler: throttled/rerouted, never evicted);
-/// eviction additionally requires φ >= `phi_evict` AND a silent gap of
-/// at least `evict_grace_intervals` smoothed means — a straggler's
+/// under a normal fit of the window. φ >= 3 marks the device
+/// *suspected* (straggler: throttled/rerouted, never evicted); eviction
+/// additionally requires φ >= 8 AND a silent gap of at least
+/// `evict_grace_intervals` smoothed means — a straggler's
 /// late-but-arriving heartbeats keep resetting the gap and widening the
-/// window, so only a permanently silent device is ever evicted.
+/// window, so only a permanently silent device is ever evicted. The
+/// fixed thresholds and window shape live in fault/health.
 struct HealthPolicy {
   sim::SimTime heartbeat_interval = sim::SimTime::micros(100.0);
-  double phi_suspect = 3.0;
-  double phi_evict = 8.0;
   int evict_grace_intervals = 8;  ///< silent gap (in mean intervals) to evict
-  int window = 32;                ///< sliding-window size (samples)
-  int min_samples = 4;            ///< φ = 0 until this many arrivals
-  double min_stddev_fraction = 0.1;  ///< σ floor as fraction of the mean
 };
 
 /// What the engine is allowed to do about a device the
@@ -342,24 +324,17 @@ enum class MitigationMode : std::uint8_t {
 ///    pressure, over the stall-free kernel time (pressure stretches no
 ///    heartbeats, and the fleet z saturates at (n-1)/sqrt(n) on small
 ///    fleets, so it needs a first-class term).
-/// score = hb_weight * stretch_excess + z_weight * max(z, 0)
-///       + stall_weight * stall_ratio.
+/// score = stretch_excess + 0.5 * max(z, 0) + stall_ratio.
 /// Hysteresis: the score must stay >= score_on for `sustain_rounds`
 /// consecutive evaluations before any action (transient jitter never
 /// triggers), and drops below score_off to re-arm. After an action the
-/// device is left alone for `cooldown_rounds` evaluations.
+/// device is left alone for four evaluations. The fixed weights and
+/// budgets live in fault/gray.
 struct MitigationPolicy {
   MitigationMode mode = MitigationMode::kObserve;
-  double hb_weight = 1.0;
-  double z_weight = 0.5;
-  double stall_weight = 1.0;
   double score_on = 1.0;
   double score_off = 0.5;
-  int sustain_rounds = 3;   ///< consecutive over-threshold evaluations
-  int cooldown_rounds = 4;  ///< evaluations to skip after acting
-  /// Fraction of the condemned device's masters to move per migration,
-  /// hottest (highest-degree) first. At least one master always moves.
-  double migrate_fraction = 0.5;
+  int sustain_rounds = 3;  ///< consecutive over-threshold evaluations
   /// A compute-blamed migration must shed at least this fraction of the
   /// degraded device's local edges or it is skipped (budget still
   /// spent): under vertex-cut layouts most local edges belong to
@@ -367,14 +342,6 @@ struct MitigationPolicy {
   /// shed almost no work — the move would be pure cost. Memory-blamed
   /// migrations are exempt (any byte shed shrinks the spill deficit).
   double min_shed_fraction = 0.10;
-  int max_migrations_per_device = 2;  ///< then the device is "hopeless"
-  /// Two roles. A score >= `hopeless_score` is treated as unambiguous
-  /// and skips the `sustain_rounds` confirmation wait (waiting a round
-  /// to confirm a 5x derate just pays the fault for longer). Under
-  /// kEvict, a device still scoring past it after
-  /// `max_migrations_per_device` migrations is gracefully evicted (its
-  /// remaining state harvested live — no rollback needed).
-  double hopeless_score = 2.0;
   /// EWMA smoothing for the heartbeat-stretch estimate.
   double stretch_alpha = 0.3;
 };

@@ -6,6 +6,21 @@
 
 namespace sg::fault {
 
+namespace {
+// Weight of the fleet kernel z-score in the fused score; the heartbeat
+// stretch and spill-stall terms carry weight 1.
+constexpr double kZWeight = 0.5;
+// Evaluations a device is left alone after a migration.
+constexpr int kCooldownRounds = 4;
+// Migrations per device per run; past it the device is "hopeless".
+constexpr int kMaxMigrationsPerDevice = 2;
+// A score this high skips the sustain_rounds wait (waiting a round to
+// confirm a 5x derate just pays the fault for longer). Under kEvict, a
+// device still scoring past it once its migration budget is spent is
+// gracefully evicted, its remaining state harvested live.
+constexpr double kHopelessScore = 2.0;
+}  // namespace
+
 GrayFailureMonitor::GrayFailureMonitor(const FaultInjector* injector,
                                        int devices,
                                        const MitigationPolicy& policy,
@@ -91,11 +106,10 @@ std::vector<GrayFailureMonitor::Action> GrayFailureMonitor::evaluate(
       st.next_hb = st.next_hb + hb_interval_ * slow;
     }
 
-    const double stall_term = policy_.stall_weight * stall_ratio;
-    st.score = policy_.hb_weight * std::max(st.stretch - 1.0, 0.0) +
-               policy_.z_weight * std::max(z[d], 0.0) + stall_term;
+    st.score = std::max(st.stretch - 1.0, 0.0) +
+               kZWeight * std::max(z[d], 0.0) + stall_ratio;
     const bool memory_bound =
-        st.score > 0.0 && stall_term >= 0.5 * st.score;
+        st.score > 0.0 && stall_ratio >= 0.5 * st.score;
     max_score = std::max(max_score, st.score);
     DegradeStats& ledger = stats.degrade_for(static_cast<int>(d));
     ledger.peak_score = std::max(ledger.peak_score, st.score);
@@ -113,10 +127,8 @@ std::vector<GrayFailureMonitor::Action> GrayFailureMonitor::evaluate(
     // Confidence-scaled hysteresis: a mild crossing must hold for
     // sustain_rounds consecutive evaluations (a transient blip's EWMA
     // decays below score_on before its confirmation round), but a
-    // score at or past hopeless_score is unambiguous — waiting a round
-    // to confirm a 5x derate just pays the fault for longer.
-    if (st.sustain < policy_.sustain_rounds &&
-        st.score < policy_.hopeless_score)
+    // score at or past kHopelessScore is unambiguous.
+    if (st.sustain < policy_.sustain_rounds && st.score < kHopelessScore)
       continue;
     if (!st.alerted) {
       st.alerted = true;
@@ -132,13 +144,11 @@ std::vector<GrayFailureMonitor::Action> GrayFailureMonitor::evaluate(
     // shows there or in this window's spill stalls (fresh by
     // construction). The alert above still fires and counts either way.
     const double probe = injector_->compute_slowdown(static_cast<int>(d), now);
-    const bool fault_live = probe > 1.0 + 1e-9 || stall_term > 0.0;
+    const bool fault_live = probe > 1.0 + 1e-9 || stall_ratio > 0.0;
     if (!fault_live) continue;
-    const bool budget_spent =
-        st.migrations >= policy_.max_migrations_per_device;
-    if (budget_spent) {
+    if (st.migrations >= kMaxMigrationsPerDevice) {
       if (policy_.mode == MitigationMode::kEvict &&
-          st.score >= policy_.hopeless_score) {
+          st.score >= kHopelessScore) {
         actions.push_back({static_cast<int>(d), st.score, true,
                            memory_bound});
       }
@@ -154,7 +164,7 @@ void GrayFailureMonitor::note_migration(int device) {
   if (!active_) return;
   DevState& st = dev_[static_cast<std::size_t>(device)];
   ++st.migrations;
-  st.cooldown = policy_.cooldown_rounds;
+  st.cooldown = kCooldownRounds;
   st.sustain = 0;
 }
 

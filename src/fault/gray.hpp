@@ -28,14 +28,14 @@ namespace sg::fault {
 ///    does not stretch heartbeats, and the fleet z-score saturates at
 ///    (n-1)/sqrt(n) on small fleets, so pressure needs its own term).
 ///
-///   score = hb_weight * max(stretch - 1, 0) + z_weight * max(z, 0)
-///         + stall_weight * stall / (kernel - stall)
+///   score = max(stretch - 1, 0) + 0.5 * max(z, 0)
+///         + stall / (kernel - stall)
 ///
 /// Hysteresis makes the monitor deaf to transient jitter: the score
 /// must hold >= score_on for `sustain_rounds` consecutive evaluations
-/// before anything fires, an alert re-arms only after the score falls
-/// below score_off, and `cooldown_rounds` evaluations pass between
-/// actions on the same device. All state is deterministic — same plan,
+/// before anything fires (a score >= 2 skips the wait), an alert
+/// re-arms only after the score falls below score_off, and four
+/// evaluations pass between actions on the same device. All state is deterministic — same plan,
 /// same kernels, same decisions.
 ///
 /// The monitor never acts by itself: evaluate() returns the devices due
@@ -60,8 +60,8 @@ class GrayFailureMonitor {
                       double stall_seconds = 0.0);
 
   /// A device due for mitigation (mode permitting): its fused score and
-  /// whether it has exhausted its migration budget while still scoring
-  /// above hopeless_score (kEvict candidates).
+  /// whether it has exhausted its two-migration budget while still
+  /// scoring above the hopeless score of 2 (kEvict candidates).
   struct Action {
     int device = -1;
     double score = 0.0;

@@ -7,20 +7,28 @@
 
 namespace sg::fault {
 
+namespace {
+// φ at or above this (with the silent gap) makes a device evictable.
+constexpr double kPhiEvict = 8.0;
+// Sliding-window size (inter-arrival samples).
+constexpr int kWindow = 32;
+// Nominal intervals seeded into each window as a bootstrap prior.
+constexpr int kPriorSamples = 4;
+// σ floor as a fraction of the mean inter-arrival time.
+constexpr double kMinStddevFraction = 0.1;
+}  // namespace
+
 PhiAccrualDetector::PhiAccrualDetector(int num_devices,
                                        const HealthPolicy& policy)
     : policy_(policy), windows_(static_cast<std::size_t>(num_devices)) {
-  // Bootstrap prior: seed each window with `min_samples` nominal
+  // Bootstrap prior: seed each window with kPriorSamples nominal
   // intervals so φ is computable from the very first silence instead of
   // being blind until the window fills (cf. Akka's first-heartbeat
   // estimate). Real arrivals displace the prior as the ring wraps.
   const double nominal = policy_.heartbeat_interval.seconds();
   for (Window& w : windows_) {
-    w.samples.assign(static_cast<std::size_t>(std::max(policy_.window, 1)),
-                     0.0);
-    for (int i = 0; i < std::max(policy_.min_samples, 1); ++i) {
-      push_sample(w, nominal);
-    }
+    w.samples.assign(kWindow, 0.0);
+    for (int i = 0; i < kPriorSamples; ++i) push_sample(w, nominal);
   }
 }
 
@@ -50,13 +58,11 @@ void PhiAccrualDetector::observe(int device, sim::SimTime at) {
 
 double PhiAccrualDetector::phi(int device, sim::SimTime now) const {
   const Window& w = windows_[static_cast<std::size_t>(device)];
-  if (w.count < policy_.min_samples) return 0.0;
   const double mean = mean_of(w);
   if (mean <= 0.0) return 0.0;
   const double var =
       std::max(w.sum_sq / w.count - mean * mean, 0.0);
-  const double sd =
-      std::max(std::sqrt(var), policy_.min_stddev_fraction * mean);
+  const double sd = std::max(std::sqrt(var), kMinStddevFraction * mean);
   const double gap = (now - w.last).seconds();
   if (gap <= 0.0) return 0.0;
   const double z = (gap - mean) / sd;
@@ -69,8 +75,7 @@ double PhiAccrualDetector::phi(int device, sim::SimTime now) const {
 
 bool PhiAccrualDetector::should_evict(int device, sim::SimTime now) const {
   const Window& w = windows_[static_cast<std::size_t>(device)];
-  if (w.count < policy_.min_samples) return false;
-  if (phi(device, now) < policy_.phi_evict) return false;
+  if (phi(device, now) < kPhiEvict) return false;
   const double gap = (now - w.last).seconds();
   return gap >= policy_.evict_grace_intervals * mean_of(w);
 }
@@ -123,7 +128,7 @@ void HeartbeatMonitor::precompute_fences(int num_devices) {
     }
   }
   horizon = horizon +
-            interval * ((policy_.evict_grace_intervals + policy_.window + 16) *
+            interval * ((policy_.evict_grace_intervals + kWindow + 16) *
                         max_stretch);
 
   for (int d = 0; d < num_devices; ++d) {

@@ -25,13 +25,16 @@ namespace sg::fault {
 /// so its φ recovers, while a dead device's φ grows without bound.
 ///
 /// Eviction is deliberately stricter than suspicion: `should_evict`
-/// requires both φ >= `phi_evict` and a silent gap of at least
+/// requires both φ >= 8 and a silent gap of at least
 /// `evict_grace_intervals` smoothed mean intervals, so a straggler that
 /// keeps heartbeating (however slowly) is never evicted — each arrival
 /// resets the gap — while a silent device is evicted after a bounded
 /// number of missed heartbeats.
 class PhiAccrualDetector {
  public:
+  /// φ at or above this marks a device suspected.
+  static constexpr double kPhiSuspect = 3.0;
+
   PhiAccrualDetector() = default;
   PhiAccrualDetector(int num_devices, const HealthPolicy& policy);
 
@@ -39,12 +42,11 @@ class PhiAccrualDetector {
   /// be fed in nondecreasing time order per device.
   void observe(int device, sim::SimTime at);
 
-  /// Suspicion level for `device` at time `now` (0 until the window has
-  /// `min_samples` arrivals beyond the bootstrap prior).
+  /// Suspicion level for `device` at time `now`.
   [[nodiscard]] double phi(int device, sim::SimTime now) const;
 
   [[nodiscard]] bool suspected(int device, sim::SimTime now) const {
-    return phi(device, now) >= policy_.phi_suspect;
+    return phi(device, now) >= kPhiSuspect;
   }
 
   /// True when `device` satisfies the eviction rule (φ over the evict

@@ -57,28 +57,34 @@ void write_edge_list(const Csr& g, const std::filesystem::path& path) {
   }
 }
 
+std::optional<EdgeLine> parse_edge_line(const std::string& line,
+                                        std::string_view who) {
+  if (line.empty() || line[0] == '#' || line[0] == '%') return std::nullopt;
+  std::istringstream ss(line);
+  EdgeLine out;
+  if (!(ss >> out.edge.src >> out.edge.dst)) {
+    throw std::runtime_error(std::string(who) + ": malformed line: " + line);
+  }
+  Weight w = 0;
+  if (ss >> w) {
+    out.edge.weight = w;
+    out.weighted = true;
+  }
+  return out;
+}
+
 Csr read_edge_list(const std::filesystem::path& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("read_edge_list: cannot open " +
                                     path.string());
   std::vector<Edge> edges;
   bool weighted = false;
-  bool first_data_line = true;
   std::string line;
   while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    std::istringstream ss(line);
-    Edge e;
-    if (!(ss >> e.src >> e.dst)) {
-      throw std::runtime_error("read_edge_list: malformed line: " + line);
-    }
-    Weight w;
-    if (ss >> w) {
-      e.weight = w;
-      if (first_data_line) weighted = true;
-    }
-    first_data_line = false;
-    edges.push_back(e);
+    const auto parsed = parse_edge_line(line, "read_edge_list");
+    if (!parsed) continue;
+    if (edges.empty()) weighted = parsed->weighted;
+    edges.push_back(parsed->edge);
   }
   return build_csr(std::move(edges), 0, weighted);
 }

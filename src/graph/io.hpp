@@ -1,7 +1,9 @@
 #pragma once
 
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "graph/csr.hpp"
 
@@ -10,8 +12,23 @@ namespace sg::graph {
 /// Writes `g` as whitespace-separated "src dst [weight]" lines.
 void write_edge_list(const Csr& g, const std::filesystem::path& path);
 
+/// One data line of an edge-list file.
+struct EdgeLine {
+  Edge edge;              ///< weight stays 1 when the line has none
+  bool weighted = false;  ///< a third (weight) column was read
+};
+
+/// Parses one edge-list line, "src dst [weight]". Returns nullopt for
+/// empty lines and comments (starting with '#' or '%'); throws
+/// std::runtime_error("<who>: malformed line: <line>") when src or dst
+/// is missing. Both edge-list readers, read_edge_list and
+/// partition::EdgeListFileSource, parse through it.
+[[nodiscard]] std::optional<EdgeLine> parse_edge_line(const std::string& line,
+                                                      std::string_view who);
+
 /// Reads an edge-list file (comments starting with '#' or '%' skipped).
 /// Weighted when a third column is present on the first data line.
+/// Repeated (src, dst) pairs collapse into one edge (build_csr dedup).
 [[nodiscard]] Csr read_edge_list(const std::filesystem::path& path);
 
 /// Binary CSR container ("SGBG" magic, version 1, little-endian):

@@ -47,10 +47,6 @@ struct AuditPolicy {
   bool check_digests = true;
   bool check_invariants = true;
   bool check_checkpoints = true;
-  /// Relative slack for pagerank's floating-point mass comparisons in
-  /// the *final* audit (the per-barrier rank-vs-ledger check is exact
-  /// by construction and uses no epsilon).
-  double rank_epsilon = 1e-9;
   /// After this many repairs on one device, the device is treated as a
   /// repeat offender and escalated through the gray-failure eviction
   /// path (its silicon is flipping bits; stop trusting it).

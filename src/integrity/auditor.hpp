@@ -143,9 +143,8 @@ template <typename P>
 concept GloballyAuditing =
     requires(const P p,
              std::span<const partition::LocalGraph* const> lgs,
-             std::span<const typename P::DeviceState* const> sts,
-             const AuditPolicy policy) {
-      { p.audit_global(lgs, sts, policy) } -> std::convertible_to<std::string>;
+             std::span<const typename P::DeviceState* const> sts) {
+      { p.audit_global(lgs, sts) } -> std::convertible_to<std::string>;
     };
 
 }  // namespace sg::integrity

@@ -1,10 +1,11 @@
 #include "partition/streaming.hpp"
 
-#include <sstream>
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "graph/io.hpp"
 #include "partition/detail.hpp"
 #include "sim/thread_pool.hpp"
 
@@ -44,19 +45,12 @@ EdgeListFileSource::EdgeListFileSource(std::filesystem::path path)
   std::string line;
   bool first_data = true;
   while (std::getline(in_, line)) {
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    std::istringstream ss(line);
-    VertexId s, d;
-    if (!(ss >> s >> d)) {
-      throw std::runtime_error("EdgeListFileSource: malformed line: " +
-                               line);
-    }
-    num_vertices_ = std::max({num_vertices_, s + 1, d + 1});
-    if (first_data) {
-      graph::Weight w;
-      weighted_ = static_cast<bool>(ss >> w);
-      first_data = false;
-    }
+    const auto parsed = graph::parse_edge_line(line, "EdgeListFileSource");
+    if (!parsed) continue;
+    const Edge& e = parsed->edge;
+    num_vertices_ = std::max({num_vertices_, e.src + 1, e.dst + 1});
+    if (first_data) weighted_ = parsed->weighted;
+    first_data = false;
   }
   rewind();
 }
@@ -70,16 +64,9 @@ std::size_t EdgeListFileSource::next_chunk(std::span<Edge> out) {
   std::size_t written = 0;
   std::string line;
   while (written < out.size() && std::getline(in_, line)) {
-    if (line.empty() || line[0] == '#' || line[0] == '%') continue;
-    std::istringstream ss(line);
-    Edge e;
-    if (!(ss >> e.src >> e.dst)) {
-      throw std::runtime_error("EdgeListFileSource: malformed line: " +
-                               line);
+    if (auto parsed = graph::parse_edge_line(line, "EdgeListFileSource")) {
+      out[written++] = parsed->edge;
     }
-    graph::Weight w;
-    if (ss >> w) e.weight = w;
-    out[written++] = e;
   }
   return written;
 }

@@ -53,7 +53,9 @@ class CsrEdgeSource final : public EdgeSource {
 };
 
 /// Streams a whitespace "src dst [weight]" edge-list file without ever
-/// materializing it ('#'/'%' comment lines skipped).
+/// materializing it ('#'/'%' comment lines skipped). Every data line is
+/// one edge: unlike graph::read_edge_list, repeated (src, dst) pairs are
+/// not collapsed, so files are expected to hold a simple graph.
 class EdgeListFileSource final : public EdgeSource {
  public:
   /// Scans the file once up front to learn the vertex count and
@@ -83,8 +85,11 @@ class EdgeListFileSource final : public EdgeSource {
 ///
 /// Produces a DistGraph *identical* to partition_graph on the same
 /// input for every streamable policy (all but GREEDY, which needs
-/// random access; requesting it throws). `chunk_edges` bounds the
-/// streaming window.
+/// random access; requesting it throws). That holds for CsrEdgeSource.
+/// An EdgeListFileSource streams parallel edges that read_edge_list
+/// would collapse, so it matches only on a simple graph, which edge-list
+/// files are expected to hold. `chunk_edges` bounds the streaming
+/// window.
 [[nodiscard]] DistGraph partition_stream(EdgeSource& source,
                                          const PartitionOptions& options,
                                          std::size_t chunk_edges = 1 << 18);

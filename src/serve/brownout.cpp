@@ -15,7 +15,10 @@ BrownoutController::Verdict BrownoutController::evaluate(
   }
   ++evaluations_;
 
-  // Raw signals at this dispatch boundary.
+  // Raw signals at this dispatch boundary, fused with equal weights.
+  // Queue pressure is queue depth over max_queue_depth; deadline
+  // pressure is the fraction of queued queries whose deadline precedes
+  // now + the estimated batch time.
   const double depth = static_cast<double>(queued.size());
   const double queue_pressure =
       max_queue_depth > 0 ? depth / static_cast<double>(max_queue_depth) : 0.0;
@@ -28,8 +31,7 @@ BrownoutController::Verdict BrownoutController::evaluate(
     }
     deadline_pressure = static_cast<double>(infeasible) / depth;
   }
-  const double raw = policy_.queue_weight * queue_pressure +
-                     policy_.deadline_weight * deadline_pressure;
+  const double raw = queue_pressure + deadline_pressure;
   score_ = policy_.ewma_alpha * raw + (1.0 - policy_.ewma_alpha) * score_;
 
   // Per-tenant queue-share EWMA drives the fairness classification.

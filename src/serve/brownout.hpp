@@ -17,15 +17,11 @@ struct BrownoutPolicy {
   ///   0 — normal service (full batched engine answers);
   ///   1 — degrade: answer what the cache / landmark triangle bounds
   ///       can (tagged degraded:true), engine-serve the rest;
-  ///   2 — shed: additionally reject priorities >= shed_priority_floor
-  ///       deterministically (kBrownoutShed).
+  ///   2 — shed: additionally reject every priority but 0 (the most
+  ///       urgent class) deterministically (kBrownoutShed).
   int max_tier = 2;
-  /// Signal weights. Queue pressure is queue_depth / max_queue_depth;
-  /// deadline pressure is the fraction of queued queries whose deadline
-  /// precedes now + estimated batch time.
-  double queue_weight = 1.0;
-  double deadline_weight = 1.0;
-  /// EWMA smoothing applied to the fused score each evaluation.
+  /// EWMA smoothing applied to the fused score (queue pressure plus
+  /// deadline pressure) each evaluation.
   double ewma_alpha = 0.4;
   /// Hysteresis, styled after fault/gray: the smoothed score must hold
   /// >= score_on for sustain_evals consecutive evaluations to escalate
@@ -41,8 +37,6 @@ struct BrownoutPolicy {
   /// hot tenant cannot brown out the others. Under uniform overload
   /// (nobody hot) every tenant experiences the global tier.
   double hot_share = 0.35;
-  /// Priorities below this are never shed (0 = most urgent class).
-  std::uint32_t shed_priority_floor = 1;
 };
 
 /// Hysteretic overload controller on the simulated clock. The
@@ -95,8 +89,9 @@ class BrownoutController {
   /// True when `priority` is sheddable at `tenant`'s effective tier.
   [[nodiscard]] bool should_shed(std::uint32_t tenant,
                                  std::uint32_t priority) const {
-    return effective_tier(tenant) >= 2 &&
-           priority >= policy_.shed_priority_floor;
+    // Priorities below this are never shed (0 = most urgent class).
+    constexpr std::uint32_t kShedPriorityFloor = 1;
+    return effective_tier(tenant) >= 2 && priority >= kShedPriorityFloor;
   }
   /// True when `tenant`'s queries should be answered degraded
   /// (cache-only / landmark bound) instead of engine-served.

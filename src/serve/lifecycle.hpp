@@ -11,20 +11,18 @@ namespace sg::serve {
 /// re-dispatch of straggling batches. Disabled by default — the
 /// default dispatch path is bit-identical with the policy compiled in.
 struct LifecyclePolicy {
+  /// Also expires queued queries whose absolute deadline has already
+  /// passed at a dispatch boundary (explicit kDeadlineInfeasible
+  /// rejection instead of a lane wasted on an answer nobody can use),
+  /// and arms the admission-time feasibility gate once the batch-time
+  /// estimate has warmed up.
   bool enabled = false;
-  /// Expire queued queries whose absolute deadline has already passed
-  /// at a dispatch boundary (explicit kDeadlineInfeasible rejection
-  /// instead of a lane wasted on an answer nobody can use), and arm
-  /// the admission-time feasibility gate once the batch-time estimate
-  /// has warmed up.
-  bool timeout_queries = true;
   /// Engine-run retry budget. Attempt 0 uses the primary engine
   /// config; later attempts re-dispatch the affected lanes against a
   /// fault-free twin config — the serving-layer model of re-executing
   /// on replicas that did not lose a device. Each retry charges
-  /// retry_backoff_ms * 2^attempt of simulated time.
+  /// 0.5 ms * 2^attempt of simulated time.
   std::uint32_t max_retries = 2;
-  double retry_backoff_ms = 0.5;
   /// Hedged re-dispatch: when a batch runs longer than hedge_factor
   /// times the smoothed batch-time estimate, a duplicate is modeled as
   /// launched on the fault-free twin at the straggle-detection instant

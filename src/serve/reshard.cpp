@@ -106,9 +106,9 @@ std::optional<ReshardManager::Move> ReshardManager::evaluate() {
     sustain_ = 0;
   }
   if (sustain_ < policy_.sustain_evals || cooldown_ > 0) return std::nullopt;
-  if (policy_.max_migrations != 0 && migrations_ >= policy_.max_migrations) {
-    return std::nullopt;
-  }
+  // Migration budget for the scheduler's lifetime.
+  constexpr std::uint32_t kMaxMigrations = 16;
+  if (migrations_ >= kMaxMigrations) return std::nullopt;
 
   // Hottest *improvable* tenant on the hottest home: moving it must
   // strictly lower the source home's load below its current peak and

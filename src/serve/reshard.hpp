@@ -29,11 +29,6 @@ struct ReshardPolicy {
   double imbalance_off = 1.2;
   int sustain_evals = 2;
   int cooldown_evals = 3;
-  /// Migration budget for the scheduler's lifetime (0 = unlimited).
-  std::uint32_t max_migrations = 16;
-  /// Modeled interconnect feeding state migrations (GB/s); the blob
-  /// transfer charges the serving clock at this rate.
-  double migration_gbps = 8.0;
 };
 
 /// In-memory checksummed envelope for serving-state migration blobs:
@@ -68,7 +63,6 @@ class ReshardManager {
 
   [[nodiscard]] bool enabled() const { return policy_.enabled; }
   [[nodiscard]] std::uint32_t num_homes() const { return policy_.num_homes; }
-  [[nodiscard]] const ReshardPolicy& policy() const { return policy_; }
 
   /// Home of `tenant` (tenants start round-robin: tenant % num_homes).
   [[nodiscard]] std::uint32_t home_of(std::uint32_t tenant) const {

@@ -298,9 +298,7 @@ void BatchScheduler::admit_until(sim::SimTime now,
   // has warmed up (lifecycle on): a query whose slack cannot cover one
   // fused batch is rejected up front instead of expiring in the queue.
   const sim::SimTime est_service =
-      cfg_.lifecycle.enabled && cfg_.lifecycle.timeout_queries
-          ? batch_est_.value()
-          : sim::SimTime::zero();
+      cfg_.lifecycle.enabled ? batch_est_.value() : sim::SimTime::zero();
   while (next < queries.size() && queries[next].arrival <= now) {
     const std::size_t idx = next++;
     const Query& q = queries[idx];
@@ -376,8 +374,7 @@ void BatchScheduler::admit_until(sim::SimTime now,
 }
 
 void BatchScheduler::apply_overload_controls(std::vector<Answer>& answers) {
-  const LifecyclePolicy& lc = cfg_.lifecycle;
-  const bool expire = lc.enabled && lc.timeout_queries;
+  const bool expire = cfg_.lifecycle.enabled;
   const bool brown = brownout_.enabled();
   if (!expire && !brown) return;
 
@@ -482,10 +479,9 @@ void BatchScheduler::maybe_reshard() {
 
   // The transfer happens at a safe batch boundary and charges the
   // serving clock at the modeled interconnect rate.
-  const double gbps = reshard_.policy().migration_gbps;
-  if (gbps > 0.0) {
-    clock_ += sim::SimTime{static_cast<double>(blob.size()) / (gbps * 1e9)};
-  }
+  constexpr double kMigrationGbps = 8.0;
+  clock_ +=
+      sim::SimTime{static_cast<double>(blob.size()) / (kMigrationGbps * 1e9)};
   ++report_.reshard_migrations;
   report_.reshard_bytes += blob.size();
   flight().record(obs::FlightKind::kServeReshard,
@@ -632,8 +628,9 @@ void BatchScheduler::dispatch_batch(std::vector<Answer>& answers) {
         fail_what = e.what();
         break;
       }
+      constexpr double kRetryBackoffMs = 0.5;
       const double backoff_ms =
-          lc.retry_backoff_ms * static_cast<double>(std::uint64_t{1} << attempt);
+          kRetryBackoffMs * static_cast<double>(std::uint64_t{1} << attempt);
       clock_ += sim::SimTime::millisec(backoff_ms);
       ++report_.lifecycle.retries;
       flight().record(obs::FlightKind::kServeRetry, -1,

@@ -505,7 +505,7 @@ TEST(PhiAccrualDetectorTest, SilentDeviceEvictedWithinBoundedIntervals) {
     t = t + hb;
     det.observe(0, t);
   }
-  EXPECT_LT(det.phi(0, t + hb), hp.phi_suspect);
+  EXPECT_LT(det.phi(0, t + hb), fault::PhiAccrualDetector::kPhiSuspect);
   EXPECT_FALSE(det.should_evict(0, t + hb * 2.0));
 
   // The device goes silent after `t`: eviction must fire within a
@@ -518,6 +518,29 @@ TEST(PhiAccrualDetectorTest, SilentDeviceEvictedWithinBoundedIntervals) {
   }
   EXPECT_TRUE(det.should_evict(0, now));
   EXPECT_LE(missed, 2 * hp.evict_grace_intervals);
+
+  // With a one-interval grace gap the thresholds decide alone: φ >= 3
+  // suspects and φ >= 8 evicts. On regular beats σ sits at its floor,
+  // a tenth of the mean, so φ reaches 8 about 1.56 intervals into the
+  // silence.
+  fault::HealthPolicy quick;
+  quick.evict_grace_intervals = 1;
+  fault::PhiAccrualDetector fast(1, quick);
+  sim::SimTime last;
+  for (int i = 0; i < 20; ++i) {
+    last = last + hb;
+    fast.observe(0, last);
+  }
+  int first_evict = 0;
+  for (int k = 1000; k <= 2000; ++k) {
+    const sim::SimTime at = last + hb * (k / 1000.0);
+    const double phi = fast.phi(0, at);
+    EXPECT_EQ(fast.suspected(0, at), phi >= 3.0) << k;
+    EXPECT_EQ(fast.should_evict(0, at), phi >= 8.0) << k;
+    if (first_evict == 0 && fast.should_evict(0, at)) first_evict = k;
+  }
+  EXPECT_GE(first_evict, 1555);
+  EXPECT_LE(first_evict, 1570);
 }
 
 TEST(PhiAccrualDetectorTest, StragglerIsSuspectedButNeverEvicted) {
@@ -538,10 +561,30 @@ TEST(PhiAccrualDetectorTest, StragglerIsSuspectedButNeverEvicted) {
         << "straggler evicted after " << i << " slow beats";
     t = t + hb * 4.0;
     det.observe(0, t);
-    suspected = suspected || det.phi(0, t + hb * 3.9) >= hp.phi_suspect ||
+    suspected = suspected ||
+                det.phi(0, t + hb * 3.9) >=
+                    fault::PhiAccrualDetector::kPhiSuspect ||
                 det.suspected(0, t + hb * 3.9);
   }
   EXPECT_FALSE(det.should_evict(0, t + hb * 4.0));
+  EXPECT_TRUE(suspected);
+
+  // Recovery: regular beats displace the late ones from the 32-sample
+  // window. After 31 of them one late interval still widens the fit;
+  // after the 32nd the detector reads like one that never straggled.
+  fault::PhiAccrualDetector clean(1, hp);
+  sim::SimTime c;
+  for (int i = 0; i < 40; ++i) {
+    c = c + hb;
+    clean.observe(0, c);
+  }
+  const double want = clean.phi(0, c + hb * 1.5);
+  for (int i = 1; i <= 32; ++i) {
+    t = t + hb;
+    det.observe(0, t);
+    if (i == 31) EXPECT_LT(det.phi(0, t + hb * 1.5), want / 2);
+  }
+  EXPECT_NEAR(det.phi(0, t + hb * 1.5), want, 1e-6 * want);
 }
 
 // ---- master re-homing (layout rebuild) ---------------------------------
@@ -1791,7 +1834,7 @@ void arm_wire(const CellContext& cx, fault::FaultPlan& plan,
   plan.duplicate_messages(0.3, sim::SimTime::zero());
   plan.reorder_messages(0.3, sim::SimTime::zero());
   plan.partition_hosts(0b10, cx.oracle * 0.2, cx.oracle * 0.4);
-  c.retry.max_retries = 1;
+  c.max_retries = 1;
   c.health.evict_grace_intervals = 100000;
 }
 void arm_wire_unprotected(const CellContext& cx, fault::FaultPlan& plan,

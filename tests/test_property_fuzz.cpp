@@ -11,6 +11,8 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,6 +27,7 @@
 #include "fault/fault.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
+#include "graph/io.hpp"
 #include "graph/validation.hpp"
 #include "helpers.hpp"
 #include "integrity/audit.hpp"
@@ -33,6 +36,7 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "partition/partition_io.hpp"
+#include "partition/streaming.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/workload.hpp"
 #include "sim/event_queue.hpp"
@@ -422,6 +426,105 @@ TEST(PartitionStoreValidation, RejectsCorrectlySealedBadNumbering) {
         << e.what();
   }
 }
+
+// ---- edge-list reader fuzzing -------------------------------------------
+//
+// The two edge-list readers, graph::read_edge_list (in memory) and
+// partition::EdgeListFileSource (streamed), differentially over seeded
+// byte flips and truncations of one edge list: both throw or both
+// parse, and when both parse they agree on the vertex count and on
+// weightedness. read_edge_list collapses repeated (src, dst) pairs while
+// the stream keeps every line, so the edge counts differ by exactly the
+// parallel edges.
+
+class EdgeListFuzz : public testing::TestWithParam<std::uint64_t> {};
+
+/// ~200 "src dst [weight]" lines with ids below 64, weights on about a
+/// third of the lines, and a few comment and blank lines.
+std::string edge_list_text(sim::Rng& rng) {
+  std::string text = "# seeded edge list\n% src dst [weight]\n\n";
+  for (int i = 0; i < 200; ++i) {
+    text += std::to_string(rng.bounded(64)) + ' ' +
+            std::to_string(rng.bounded(64));
+    if (i == 0 || rng.chance(0.3)) {
+      text += ' ' + std::to_string(rng.range(1, 63));
+    }
+    text += '\n';
+    if (rng.chance(0.02)) text += "# interleaved comment\n";
+  }
+  return text;
+}
+
+std::size_t data_lines(const std::string& text) {
+  std::size_t lines = 0;
+  std::size_t at = 0;
+  while (at < text.size()) {
+    const std::size_t end = std::min(text.find('\n', at), text.size());
+    const char c = text[at];
+    if (end > at && c != '#' && c != '%') ++lines;
+    at = end + 1;
+  }
+  return lines;
+}
+
+TEST_P(EdgeListFuzz, ReadersAgreeUnderByteFlipsAndTruncation) {
+  sim::Rng rng{GetParam() * 6151 + 29};
+  const std::string pristine = edge_list_text(rng);
+  const auto path =
+      fuzz_dir("sg_fuzz_edges_" + std::to_string(GetParam())) / "g.el";
+  for (int trial = 0; trial <= 64; ++trial) {
+    // One bit flip per input (trial 0 is the pristine file). Both
+    // readers size O(max id) arrays by design, so the ids must stay
+    // small: one flip joins at most two numbers (a space turned into
+    // '0'), keeping every id below 10^5, while several flips could
+    // join enough digits, or make a '-' that unsigned extraction
+    // wraps, to ask for gigabytes.
+    std::string text = pristine;
+    if (trial > 0) {
+      const std::size_t pos = rng.bounded(text.size());
+      text[pos] = static_cast<char>(text[pos] ^ (1u << rng.bounded(8)));
+      if (rng.chance(0.25)) text.resize(rng.bounded(text.size()));
+    }
+    spew(path, {text.begin(), text.end()});
+    const std::string what = "seed " + std::to_string(GetParam()) +
+                             " trial " + std::to_string(trial);
+
+    std::optional<graph::Csr> csr;
+    try {
+      csr = graph::read_edge_list(path);
+    } catch (const std::exception&) {
+    }
+    std::optional<partition::EdgeListFileSource> src;
+    std::vector<graph::Edge> streamed;
+    try {
+      src.emplace(path);
+      std::vector<graph::Edge> chunk(37);
+      for (std::size_t k; (k = src->next_chunk(chunk)) > 0;) {
+        streamed.insert(streamed.end(), chunk.begin(), chunk.begin() + k);
+      }
+    } catch (const std::exception&) {
+      src.reset();
+    }
+    ASSERT_EQ(csr.has_value(), src.has_value()) << what;
+    ASSERT_TRUE(csr || trial > 0) << "the pristine edge list must parse";
+    if (!csr) continue;
+
+    EXPECT_EQ(csr->num_vertices(), src->num_vertices()) << what;
+    EXPECT_EQ(csr->has_weights(), src->weighted()) << what;
+    ASSERT_EQ(streamed.size(), data_lines(text)) << what;
+    std::set<std::pair<graph::VertexId, graph::VertexId>> pairs;
+    for (const graph::Edge& e : streamed) pairs.emplace(e.src, e.dst);
+    EXPECT_EQ(csr->num_edges(), pairs.size()) << what;
+    if (src->num_vertices() == 0) continue;  // nothing to partition
+    const partition::DistGraph dg = partition::partition_stream(
+        *src, {.policy = partition::Policy::OEC, .num_devices = 2});
+    EXPECT_EQ(dg.global_edges(), data_lines(text)) << what;
+    EXPECT_EQ(dg.global_vertices(), csr->num_vertices()) << what;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EdgeListFuzz,
+                         testing::Range<std::uint64_t>(1, 9));
 
 // ---- wire-protocol anomaly fuzzing --------------------------------------
 //

@@ -564,6 +564,9 @@ TEST(BrownoutController, DeadlinePressureNeedsWarmEstimate) {
   const auto v = ctl.evaluate(sim::SimTime::millisec(1.0), doomed, 64,
                               sim::SimTime::millisec(2.0));
   EXPECT_EQ(v.tier, 1);
+  // The score adds the two pressures unweighted: 16/64 queue pressure
+  // plus 16/16 infeasible deadlines.
+  EXPECT_DOUBLE_EQ(v.score, 0.25 + 1.0);
 }
 
 TEST(BrownoutController, HotTenantFairnessShieldsColdTenants) {
@@ -764,6 +767,37 @@ TEST(ReshardBlob, ChecksummedRoundtripDetectsCorruption) {
   EXPECT_THROW((void)serve::open_blob(truncated, "test"), std::runtime_error);
 }
 
+TEST(ReshardManager, MigrationBudgetStopsAtSixteen) {
+  serve::ReshardPolicy p;
+  p.enabled = true;
+  p.ewma_alpha = 1.0;
+  p.sustain_evals = 1;
+  p.cooldown_evals = 0;
+  serve::ReshardManager mgr(p);
+  // Four tenants over two homes: some home always holds two of them.
+  // Loading those two 3:1 leaves the other home idle, and moving the
+  // heavier one improves the balance, so every evaluation proposes a
+  // migration until the scheduler's lifetime budget is spent.
+  int proposals = 0;
+  for (int eval = 0; eval < 40; ++eval) {
+    std::vector<std::uint32_t> on[2];
+    for (std::uint32_t t = 0; t < 4; ++t) {
+      on[mgr.home_of(t)].push_back(t);
+      mgr.note_served(t, 0.0);
+    }
+    const auto& pair = on[0].size() >= 2 ? on[0] : on[1];
+    mgr.note_served(pair[0], 3.0);
+    mgr.note_served(pair[1], 1.0);
+    if (const auto m = mgr.evaluate()) {
+      EXPECT_EQ(m->tenant, pair[0]) << eval;
+      mgr.apply(*m);
+      ++proposals;
+    }
+  }
+  EXPECT_EQ(proposals, 16);
+  EXPECT_EQ(mgr.migrations(), 16u);
+}
+
 serve::ServeConfig reshard_cfg(std::uint32_t homes) {
   serve::ServeConfig sc;
   sc.default_limits = {.rate_qps = 1e9, .burst = 1e9, .max_queued = 256};
@@ -888,6 +922,13 @@ TEST(BatchScheduler, LifecycleRetriesTransientEngineFailure) {
   EXPECT_EQ(answers[1].distance, algo::reference::sssp(fx.g, 3)[77]);
   EXPECT_GE(sched.report().lifecycle.retries, 1u);
   EXPECT_EQ(sched.report().lifecycle.engine_failures, 0u);
+  // The one retry waited 0.5 ms * 2^0 of simulated time on top of the
+  // engine runs a scheduler that never failed makes.
+  sc.lifecycle.fail_attempts = 0;
+  auto twin = fx.make(sc);
+  (void)twin.run(qs);
+  EXPECT_NEAR(
+      (sched.report().makespan - twin.report().makespan).millis(), 0.5, 1e-9);
 }
 
 TEST(BatchScheduler, LifecycleExhaustedRetriesRejectNotDrop) {

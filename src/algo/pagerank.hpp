@@ -244,14 +244,13 @@ class PageRankPullProgram {
   /// Termination certificate at the final audit: a quiescent run left
   /// no pending residual above tolerance, no unshipped mirror partials,
   /// and every consuming master carries at least the base rank mass
-  /// (1 - alpha, less kRankEpsilon relative slack; the per-barrier
-  /// rank-vs-ledger check is exact by construction and uses none).
+  /// 1 - alpha with no slack: its first round consumes the whole initial
+  /// residual 1 - alpha into a zero rank, and rank only grows after that
+  /// (the per-barrier rank-vs-ledger check is exact by construction too).
   [[nodiscard]] std::string audit_global(
       std::span<const partition::LocalGraph* const> lgs,
       std::span<const DeviceState* const> sts) const {
-    constexpr double kRankEpsilon = 1e-9;
-    const float floor =
-        (1.0f - alpha_) * (1.0f - static_cast<float>(kRankEpsilon));
+    const float floor = 1.0f - alpha_;
     for (std::size_t i = 0; i < lgs.size(); ++i) {
       const partition::LocalGraph& lg = *lgs[i];
       const DeviceState& st = *sts[i];

@@ -1,65 +1,13 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <vector>
 
+#include "graph/zipf.hpp"
 #include "sim/rng.hpp"
 
 namespace sg::graph {
-
-namespace {
-
-/// Zipf-like sampler over [0, n): probability of rank r proportional to
-/// 1/(r+1)^s, with ranks mapped through a seeded permutation-free stride
-/// so hot vertices are spread across the id space (matching real inputs,
-/// where hubs are not id 0). Uses an inverse-CDF table.
-class ZipfSampler {
- public:
-  ZipfSampler(VertexId n, double s, std::uint64_t stride_seed)
-      : n_(n), stride_(pick_stride(n, stride_seed)) {
-    cdf_.resize(n);
-    double acc = 0;
-    for (VertexId r = 0; r < n; ++r) {
-      acc += 1.0 / std::pow(static_cast<double>(r) + 1.0, s);
-      cdf_[r] = acc;
-    }
-    total_ = acc;
-  }
-
-  VertexId sample(sim::Rng& rng) const {
-    const double x = rng.uniform() * total_;
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), x);
-    const auto rank =
-        static_cast<std::uint64_t>(std::distance(cdf_.begin(), it));
-    return static_cast<VertexId>((rank * stride_) % n_);
-  }
-
- private:
-  static std::uint64_t pick_stride(VertexId n, std::uint64_t seed) {
-    if (n <= 2) return 1;
-    sim::Rng rng{seed};
-    // A stride coprime with n maps ranks to a permutation of ids.
-    for (;;) {
-      const std::uint64_t s = 1 + rng.bounded(n - 1);
-      std::uint64_t a = s, b = n;
-      while (b != 0) {
-        const std::uint64_t t = a % b;
-        a = b;
-        b = t;
-      }
-      if (a == 1) return s;
-    }
-  }
-
-  VertexId n_;
-  std::uint64_t stride_;
-  double total_ = 0;
-  std::vector<double> cdf_;
-};
-
-}  // namespace
 
 Csr rmat(const RmatParams& p) {
   if (p.scale < 1 || p.scale > 28) {
@@ -112,7 +60,9 @@ Csr synthetic(const SyntheticSpec& spec) {
   const VertexId comm_size = std::max<VertexId>(2, core / ncomm);
 
   std::vector<Edge> edges;
-  edges.reserve(spec.edges + 4ull * n);
+  // Symmetric graphs add the reverse of every bulk edge; the spine,
+  // bridges and tail add at most 4n more.
+  edges.reserve((spec.symmetric ? 2 : 1) * spec.edges + 4ull * n);
 
   auto community_of = [&](VertexId v) -> std::uint32_t {
     return std::min<std::uint32_t>(v / comm_size, ncomm - 1);
@@ -160,8 +110,8 @@ Csr synthetic(const SyntheticSpec& spec) {
   }
 
   // 3. Bulk power-law edges with community locality.
-  ZipfSampler out_sampler(comm_size, spec.zipf_out, spec.seed ^ 0xa5a5);
-  ZipfSampler in_sampler(comm_size, spec.zipf_in, spec.seed ^ 0x5a5a);
+  detail::ZipfSampler out_sampler(comm_size, spec.zipf_out, spec.seed ^ 0xa5a5);
+  detail::ZipfSampler in_sampler(comm_size, spec.zipf_in, spec.seed ^ 0x5a5a);
   const EdgeId bulk = budget;
   for (EdgeId i = 0; i < bulk; ++i) {
     const auto c = static_cast<std::uint32_t>(rng.bounded(ncomm));

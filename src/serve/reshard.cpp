@@ -6,26 +6,31 @@
 
 namespace sg::serve {
 
+namespace {
+
+// magic(4) | version(4) | payload_size(8) | payload | fnv1a64(8)
+constexpr std::size_t kHeader = 4 + 4 + 8;
+constexpr std::size_t kTrailer = 8;
+
+}  // namespace
+
 std::vector<char> seal_blob(const std::vector<char>& payload) {
-  std::vector<char> out;
-  out.reserve(4 + 4 + 8 + payload.size() + 8);
-  out.insert(out.end(), kReshardMagic.begin(), kReshardMagic.end());
   const std::uint32_t version = kReshardBlobVersion;
-  const auto append_pod = [&](const auto& v) {
-    const auto* p = reinterpret_cast<const char*>(&v);
-    out.insert(out.end(), p, p + sizeof v);
-  };
-  append_pod(version);
-  append_pod(static_cast<std::uint64_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  append_pod(partition::fnv1a64(payload.data(), payload.size()));
+  const auto size = static_cast<std::uint64_t>(payload.size());
+  const std::uint64_t sum = partition::fnv1a64(payload.data(), payload.size());
+  // Sized once and filled at fixed offsets: GCC 12 reports a false
+  // -Wstringop-overflow on a chain of insert() calls here.
+  std::vector<char> out(kHeader + payload.size() + kTrailer);
+  std::memcpy(out.data(), kReshardMagic.data(), kReshardMagic.size());
+  std::memcpy(out.data() + 4, &version, sizeof version);
+  std::memcpy(out.data() + 8, &size, sizeof size);
+  std::copy(payload.begin(), payload.end(), out.begin() + kHeader);
+  std::memcpy(out.data() + kHeader + payload.size(), &sum, sizeof sum);
   return out;
 }
 
 std::vector<char> open_blob(const std::vector<char>& blob,
                             const std::string& context) {
-  constexpr std::size_t kHeader = 4 + 4 + 8;
-  constexpr std::size_t kTrailer = 8;
   if (blob.size() < kHeader + kTrailer) {
     throw std::runtime_error(context + ": migration blob truncated (" +
                              std::to_string(blob.size()) + " bytes)");

@@ -223,6 +223,28 @@ TEST(AlgoShapes, PagerankStarConcentratesRankAtCenter) {
   }
 }
 
+TEST(AlgoShapes, PagerankCertificateFloorIsExactlyBaseMass) {
+  // The final certificate's rank floor is 1 - alpha with no slack: a
+  // master at exactly 1 - alpha passes, one float step below fails.
+  // Mirrors carry no floor.
+  const algo::PageRankPullProgram prog;
+  partition::LocalGraph lg;
+  lg.num_masters = 1;
+  lg.num_local = 2;
+  lg.l2g = {0, 1};
+  algo::PageRankPullProgram::DeviceState st;
+  const float base = 1.0f - prog.alpha();
+  st.rank = {base, 0.0f};
+  st.resid = {0.0f, 0.0f};
+  st.accum = {0.0f, 0.0f};
+  const partition::LocalGraph* lgs[] = {&lg};
+  const algo::PageRankPullProgram::DeviceState* sts[] = {&st};
+  EXPECT_EQ(prog.audit_global(lgs, sts), "");
+  st.rank[0] = std::nextafter(base, 0.0f);
+  EXPECT_NE(prog.audit_global(lgs, sts).find("below the base mass floor"),
+            std::string::npos);
+}
+
 TEST(AlgoShapes, SsspRespectsWeightsOverHops) {
   // 0 -> 1 -> 2 cheap; 0 -> 2 expensive direct edge.
   std::vector<graph::Edge> edges = {{0, 1, 1}, {1, 2, 1}, {0, 2, 10}};

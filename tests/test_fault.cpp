@@ -1786,6 +1786,8 @@ struct IncidentCell {
   std::uint64_t metrics_json;
   std::uint64_t flight_json;
   std::uint64_t trace_json;
+  /// Incident kinds the cell exists to reach.
+  std::vector<fault::Incident> reaches = {};
 };
 
 /// The object member `"key":{...}` of a serialized JSON object (empty
@@ -1809,16 +1811,17 @@ std::uint64_t digest(const std::string& s) {
   return util::fnv1a64(s.data(), s.size());
 }
 
-/// Flips bit 0 of the master copy of one distance-1 vertex late in the
-/// run: its label becomes 0 at a non-source vertex, which the bfs ABFT
-/// invariant flags and the final certificate rejects.
-void zero_a_neighbor(const CellContext& cx, fault::FaultPlan& plan) {
+/// Flips bit 0 of the master copy of one distance-1 vertex at `at`: its
+/// label becomes 0 at a non-source vertex, which the bfs ABFT invariant
+/// flags and the final certificate rejects.
+void zero_a_neighbor(const CellContext& cx, fault::FaultPlan& plan,
+                     sim::SimTime at) {
   const graph::VertexId v = cx.g.neighbors(cx.src).front();
   for (int d = 0; d < 4; ++d) {
     const auto& lg = cx.prep.dist.part(d);
     const auto lv = lg.local_of(v);
     if (lv && lg.is_master(*lv)) {
-      plan.flip_label(d, v, 0, cx.oracle * 0.6);
+      plan.flip_label(d, v, 0, at);
       return;
     }
   }
@@ -1868,6 +1871,40 @@ void arm_basp_crash(const CellContext& cx, fault::FaultPlan& plan,
   plan.lose_device(3, cx.oracle * 0.6);
 }
 
+/// BASP twin of loss/checkpointed: quiescent checkpoints every round,
+/// then a loss after the fault-free makespan, so the eviction rewinds
+/// the survivors to the last quiescent cut.
+void arm_loss_async_checkpointed(const CellContext& cx,
+                                 fault::FaultPlan& plan,
+                                 engine::EngineConfig& c) {
+  plan.lose_device(2, cx.oracle * 2.0);
+  c.checkpoint.interval_rounds = 1;
+}
+
+/// The sg_chaos --sdc Async shape under kRepair with quiescent
+/// checkpoints: a kernel-SDC window and a mirror flip mid-run, healed at
+/// quiescent audits, then a master zeroed after the fault-free makespan
+/// that only the final certificate catches; its repair rewinds to the
+/// last clean quiescent checkpoint, and when the rewound replay
+/// lands on the same cut again, the next repair cold-restarts.
+void arm_sdc_async_repair(const CellContext& cx, fault::FaultPlan& plan,
+                          engine::EngineConfig& c) {
+  plan.sdc_kernel(1, sim::SimTime::zero(), cx.oracle * 0.5, 1.0);
+  for (int o = 1; o < 4; ++o) {
+    const auto& mirrors =
+        cx.prep.sync.list(0, o, comm::ProxyFilter::kAll).mirror_local;
+    if (mirrors.empty()) continue;
+    plan.flip_label(0, cx.prep.dist.part(0).l2g[mirrors.front()], 3,
+                    cx.oracle * 0.4);
+    break;
+  }
+  zero_a_neighbor(cx, plan, cx.oracle * 2.0);
+  c.checkpoint.interval_rounds = 1;
+  c.audit.mode = integrity::AuditMode::kRepair;
+  c.audit.interval_rounds = 1;
+  c.audit.escalate_after = 1000;
+}
+
 /// Repeated label flips on the last mirror device escalate it out
 /// through the graceful eviction path, the other devices' checkpoint
 /// blobs are corrupted and rewritten by read-back verification, and a
@@ -1893,7 +1930,7 @@ void arm_sdc_escalate(const CellContext& cx, fault::FaultPlan& plan,
   for (int d = 0; d < 4; ++d) {
     if (d != victim) plan.corrupt_checkpoint(d, cx.oracle * 0.35);
   }
-  zero_a_neighbor(cx, plan);
+  zero_a_neighbor(cx, plan, cx.oracle * 0.6);
   c.checkpoint.interval_rounds = 2;
   c.audit.mode = integrity::AuditMode::kRepair;
   c.audit.interval_rounds = 1;
@@ -1905,7 +1942,7 @@ void arm_sdc_escalate(const CellContext& cx, fault::FaultPlan& plan,
 void arm_sdc_rollback(const CellContext& cx, fault::FaultPlan& plan,
                       engine::EngineConfig& c) {
   plan.sdc_kernel(1, sim::SimTime::zero(), cx.oracle * 0.5, 1.0);
-  zero_a_neighbor(cx, plan);
+  zero_a_neighbor(cx, plan, cx.oracle * 0.6);
   c.checkpoint.interval_rounds = 1;
   c.audit.mode = integrity::AuditMode::kRepair;
   c.audit.interval_rounds = 1;
@@ -1916,7 +1953,7 @@ void arm_sdc_rollback(const CellContext& cx, fault::FaultPlan& plan,
 /// pass and the final certificate fails.
 void arm_sdc_detect(const CellContext& cx, fault::FaultPlan& plan,
                     engine::EngineConfig& c) {
-  zero_a_neighbor(cx, plan);
+  zero_a_neighbor(cx, plan, cx.oracle * 0.6);
   c.audit.mode = integrity::AuditMode::kDetect;
   c.audit.interval_rounds = 1;
 }
@@ -1993,6 +2030,21 @@ TEST(IncidentGolden, EverySinkMatchesRecordedDigests) {
       {"gray/async", Policy::OEC, ExecModel::kAsync, arm_gray,
        0xffac9d2988caf9aaULL, 0x52c6ac089d790b32ULL,
        0xd74fb0d1e28f92a6ULL, 0xea500df7c244dd96ULL},
+      {"loss/async/checkpointed", Policy::OEC, ExecModel::kAsync,
+       arm_loss_async_checkpointed,
+       0x442974f143a72ec4ULL, 0xb25822b2bd1ba0afULL,
+       0x4aec93d93f6c1c69ULL, 0x33bb73b53bbf5a0fULL,
+       {fault::Incident::kCheckpoint, fault::Incident::kEvictRollback,
+        fault::Incident::kLossEvict, fault::Incident::kRehome}},
+      {"sdc/async/repair", Policy::CVC, ExecModel::kAsync,
+       arm_sdc_async_repair,
+       0xbab7b44c9c4213c3ULL, 0x392825a4584df530ULL,
+       0x739226742a02e989ULL, 0x89919bfd051b5b3dULL,
+       {fault::Incident::kCheckpoint, fault::Incident::kKernelFlip,
+        fault::Incident::kLabelFlip, fault::Incident::kAudit,
+        fault::Incident::kDigestSplit, fault::Incident::kMirrorRepair,
+        fault::Incident::kFinalAudit, fault::Incident::kCertificate,
+        fault::Incident::kSdcRollback, fault::Incident::kSdcRestart}},
   };
   std::map<Policy, std::unique_ptr<PreparedGraph>> preps;
   std::vector<std::uint64_t> noted(fault::kIncidentKinds, 0);
@@ -2034,6 +2086,11 @@ TEST(IncidentGolden, EverySinkMatchesRecordedDigests) {
     }
     for (std::size_t k = 0; k < s.faults.noted.size(); ++k) {
       noted[k] += s.faults.noted[k];
+    }
+    for (const fault::Incident kind : cell.reaches) {
+      const auto k = static_cast<std::size_t>(kind);
+      EXPECT_TRUE(k < s.faults.noted.size() && s.faults.noted[k] > 0)
+          << cell.name << " never reached incident kind " << k;
     }
   }
   // Every incident kind is reached by some cell, except the receiver's

@@ -138,7 +138,9 @@ TEST(PprBehaviour, MassIsConservedAndLocalized) {
   EXPECT_GT(total, 0.9);
   // The seed holds the single largest share.
   for (std::size_t v = 0; v < r.mass.size(); ++v) {
-    if (v != seed) EXPECT_LE(r.mass[v], r.mass[seed]);
+    if (v != seed) {
+      EXPECT_LE(r.mass[v], r.mass[seed]);
+    }
   }
 }
 

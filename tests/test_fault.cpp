@@ -582,7 +582,9 @@ TEST(PhiAccrualDetectorTest, StragglerIsSuspectedButNeverEvicted) {
   for (int i = 1; i <= 32; ++i) {
     t = t + hb;
     det.observe(0, t);
-    if (i == 31) EXPECT_LT(det.phi(0, t + hb * 1.5), want / 2);
+    if (i == 31) {
+      EXPECT_LT(det.phi(0, t + hb * 1.5), want / 2);
+    }
   }
   EXPECT_NEAR(det.phi(0, t + hb * 1.5), want, 1e-6 * want);
 }

@@ -36,7 +36,7 @@ TEST(BenchmarkEnum, RoundTripsThroughStrings) {
     EXPECT_EQ(benchmark_from_string(to_string(b)), b);
   }
   EXPECT_EQ(benchmark_from_string("pr"), Benchmark::kPagerank);
-  EXPECT_THROW(benchmark_from_string("tc"), std::invalid_argument);
+  EXPECT_THROW((void)benchmark_from_string("tc"), std::invalid_argument);
 }
 
 // ---- D-IrGL -------------------------------------------------------------------

@@ -344,7 +344,7 @@ TEST(Datasets, RegistryHasNineInputsInThreeCategories) {
   EXPECT_EQ(datasets::names(datasets::Category::kSmall).size(), 3u);
   EXPECT_EQ(datasets::names(datasets::Category::kMedium).size(), 3u);
   EXPECT_EQ(datasets::names(datasets::Category::kLarge).size(), 3u);
-  EXPECT_THROW(datasets::info("nope"), std::out_of_range);
+  EXPECT_THROW((void)datasets::info("nope"), std::out_of_range);
 }
 
 TEST(Datasets, DiameterOrderingMatchesPaper) {

@@ -423,7 +423,9 @@ TEST(BatchScheduler, WorkloadReplayIsByteDeterministic) {
     EXPECT_EQ(trace[i].arrival, trace2[i].arrival) << i;
     EXPECT_EQ(trace[i].source, trace2[i].source) << i;
     EXPECT_EQ(trace[i].tenant, trace2[i].tenant) << i;
-    if (i > 0) EXPECT_GE(trace[i].arrival, trace[i - 1].arrival) << i;
+    if (i > 0) {
+      EXPECT_GE(trace[i].arrival, trace[i - 1].arrival) << i;
+    }
     EXPECT_LT(trace[i].tenant, 4u) << i;
   }
 

@@ -204,7 +204,7 @@ TEST(TopologyT, TuxedoMixesGpuModels) {
 TEST(TopologyT, RejectsInvalidShapes) {
   EXPECT_THROW(Topology::bridges(0), std::invalid_argument);
   EXPECT_THROW(Topology::tuxedo(7), std::invalid_argument);
-  EXPECT_THROW(Topology::bridges(4).host_of(17), std::out_of_range);
+  EXPECT_THROW((void)Topology::bridges(4).host_of(17), std::out_of_range);
 }
 
 TEST(TopologyT, MemoryScalesWithDatasetScale) {

@@ -1,47 +1,20 @@
 #pragma once
 
-#include <algorithm>
 #include <array>
-#include <cstdint>
-#include <cstring>
 #include <deque>
-#include <limits>
-#include <memory>
 #include <optional>
-#include <span>
-#include <stdexcept>
-#include <string>
 #include <type_traits>
-#include <vector>
 
+// The executor is built on the resilience layer; its header brings the
+// layout, fault, observability and simulator headers both share.
 #include "comm/field_sync.hpp"
-#include "comm/sync_structure.hpp"
-#include "engine/config.hpp"
 #include "engine/load_balancer.hpp"
-#include "engine/program.hpp"
-#include "engine/round_ctx.hpp"
-#include "engine/stats.hpp"
+#include "engine/resilience.hpp"
 #include "engine/termination.hpp"
-#include "fault/checkpoint.hpp"
-#include "fault/fault_injector.hpp"
-#include "fault/gray.hpp"
-#include "fault/health.hpp"
-#include "fault/incident.hpp"
-#include "integrity/auditor.hpp"
-#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prof.hpp"
-#include "util/hash.hpp"
-#include "obs/trace.hpp"
-#include "partition/dist_graph.hpp"
-#include "partition/partition_io.hpp"
-#include "partition/rehome.hpp"
-#include "sim/device_memory.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/gpu_cost_model.hpp"
-#include "sim/interconnect.hpp"
 #include "sim/thread_pool.hpp"
-#include "sim/topology.hpp"
 
 namespace sg::engine {
 
@@ -67,7 +40,9 @@ struct RunResult {
 /// Distributed executor over the simulated cluster. Computation is real
 /// (label arrays are actually updated); time, memory capacity, and
 /// message transport are simulated. Dispatches to a bulk-synchronous
-/// (BSP) or bulk-asynchronous (BASP) loop per EngineConfig::exec_model.
+/// (BSP) or bulk-asynchronous (BASP) loop per EngineConfig::exec_model;
+/// both reach the resilience layer (engine/resilience.hpp) only at its
+/// safe points.
 template <VertexProgram Program>
 class Executor {
   using RV = typename Program::ReduceValue;
@@ -75,31 +50,36 @@ class Executor {
   using RSync = comm::FieldSync<RV, typename Program::ReduceOp>;
   using BSync = comm::FieldSync<BV, typename Program::BcastOp>;
   using VertexId = graph::VertexId;
+  using Dev = DeviceRuntime<Program>;
 
  public:
   Executor(const partition::DistGraph& dg, const comm::SyncStructure& sync,
            const sim::Topology& topo, const sim::CostParams& params,
            const EngineConfig& config, const Program& program)
-      : dgp_(&dg),
-        syncp_(&sync),
-        topo_(topo),
+      : topo_(topo),
         params_(params),
         net_(topo, params),
         config_(config),
         program_(program),
-        devices_(dg.num_devices()) {
+        devices_(dg.num_devices()),
+        reduce_filter_(config_.structural_opt
+                           ? program_.pattern().reduce_filter()
+                           : comm::ProxyFilter::kAll),
+        bcast_filter_(config_.structural_opt
+                          ? program_.pattern().broadcast_filter()
+                          : comm::ProxyFilter::kAll),
+        injector_(config_.fault_plan, &topo_),
+        res_(dg, sync, topo_, params_, config_, program_, injector_,
+             reduce_filter_, bcast_filter_, devs_, stats_, fault_global_,
+             [this](auto... a) { note(a...); }) {
     if (topo_.num_devices() != devices_) {
       throw std::invalid_argument(
           "Executor: topology/partition device count mismatch");
     }
-    reduce_filter_ = config_.structural_opt
-                         ? program_.pattern().reduce_filter()
-                         : comm::ProxyFilter::kAll;
-    bcast_filter_ = config_.structural_opt
-                        ? program_.pattern().broadcast_filter()
-                        : comm::ProxyFilter::kAll;
-    injector_ = fault::FaultInjector(config_.fault_plan, &topo_);
   }
+  // res_ holds references to this executor's members and its note sink.
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
 
   RunResult<Program> run() {
     // Black box: if anything below throws, the flight recorder is
@@ -117,113 +97,25 @@ class Executor {
   }
 
  private:
-  // ---- per-device runtime ------------------------------------------------
-  struct Dev {
-    typename Program::DeviceState state;
-    std::unique_ptr<RoundCtx> ctx;
-    comm::Bitset dirty_r;  // mirror-side updates awaiting reduce
-    comm::Bitset dirty_b;  // master-side updates awaiting broadcast
-    std::vector<VertexId> frontier;
-    comm::Bitset in_frontier;  // dedup across compute/sync activations
-    bool progress = false;  // topology-driven activity flag
-    std::unique_ptr<sim::DeviceMemory> memory;
-    sim::SimTime clock;
-    // BASP only:
-    std::uint32_t local_round = 0;
-    bool parked = false;
-    std::uint32_t consecutive_stalls = 0;  // throttle progress guard
-    std::vector<std::uint32_t> last_seen_round;  // per sender
-    // Fault recovery: the device holds re-feed dirty marks that must be
-    // flushed once before it may park (BASP degraded recovery).
-    bool flush_pending = false;
-    // Wire protocol: per-channel sequence numbers. Channel index is
-    // peer * 2 + kind (reduce / broadcast), reset on layout rebuild
-    // (the epoch bump fences everything sealed before the reset).
-    std::vector<std::uint64_t> seq_out;
-    std::vector<std::uint64_t> seq_in;
-    std::vector<VertexId> changed;  // apply_payload scratch
-  };
-
   [[nodiscard]] static std::size_t channel(int peer, fault::MsgKind kind) {
     return static_cast<std::size_t>(peer) * 2 +
            (kind == fault::MsgKind::kBroadcast ? 1 : 0);
   }
 
   void setup() {
-    if (config_.fault_plan != nullptr && !config_.fault_plan->empty()) {
-      // A malformed plan is an error, never a silent no-op.
-      config_.fault_plan->validate_or_throw(devices_, topo_.num_hosts());
-    }
-    if (config_.checkpoint.interval_rounds > 0 && !kCheckpointable) {
-      // S-gate: reject instead of silently skipping snapshots — a user
-      // who configured a cadence must learn the model cannot honor it.
-      throw std::invalid_argument(
-          std::string("Executor: checkpointing requested (interval_rounds=") +
-          std::to_string(config_.checkpoint.interval_rounds) +
-          ") but program '" + program_.name() +
-          "' has no archive() on its DeviceState; it cannot be "
-          "checkpointed");
-    }
-    if (!injector_.losses().empty() && devices_ < 2) {
-      throw std::invalid_argument(
-          "Executor: the fault plan schedules a permanent device loss but "
-          "the topology has no surviving device to re-home masters onto");
-    }
+    res_.start();
     stats_.resize(devices_);
     devs_.resize(devices_);
     setup_obs();
     for (int d = 0; d < devices_; ++d) {
-      const auto& lg = dg().part(d);
+      res_.init_device(d);
       Dev& dev = devs_[d];
-      dev.memory = std::make_unique<sim::DeviceMemory>(
-          d, topo_.spec(d).memory_bytes);
-      if (config_.static_pool_bytes > 0) {
-        // Lux-style fixed pool (Table III): claimed up front.
-        dev.memory->reserve_static(config_.static_pool_bytes);
-      }
-      charge_memory(d, lg, *dev.memory);
-
-      dev.ctx = std::make_unique<RoundCtx>(lg.num_local);
-      dev.dirty_r.resize(lg.num_local);
-      dev.dirty_b.resize(lg.num_local);
-      dev.in_frontier.resize(lg.num_local);
-      dev.ctx->attach(&dev.dirty_r, &dev.dirty_b);
-      dev.ctx->attach_obs(dev_scope(d));
       dev.last_seen_round.assign(devices_, 0);
-      dev.seq_out.assign(static_cast<std::size_t>(devices_) * 2, 0);
-      dev.seq_in.assign(static_cast<std::size_t>(devices_) * 2, 0);
-      program_.init(lg, dev.state, *dev.ctx);
-      merge_activations(dev);
+      dev.merge_activations();
       dev.progress = !dev.frontier.empty();
-      stats_.peak_memory[d] = dev.memory->peak();
     }
     comm_per_dev_.assign(devices_, comm::CommStats{});
     fault_per_dev_.assign(devices_, fault::FaultStats{});
-    fault_global_ = fault::FaultStats{};
-    last_ckpt_ = fault::Checkpoint{};
-    next_crash_ = 0;
-    force_sync_rounds_ = 0;
-    if (!config_.checkpoint.dir.empty()) {
-      ckpt_store_ = fault::CheckpointStore(config_.checkpoint.dir);
-    }
-    monitor_ = fault::HeartbeatMonitor(config_.health, &injector_, devices_);
-    monitor_.set_metrics(config_.metrics);
-    gray_ = fault::GrayFailureMonitor(&injector_, devices_,
-                                      config_.mitigation, config_.health);
-    gray_.set_metrics(config_.metrics);
-    pressure_squat_.assign(devices_, 0);
-    epoch_ = 0;
-    dead_.assign(devices_, 0);
-    silent_.assign(devices_, 0);
-    last_basp_ckpt_round_ = 0;
-    label_flip_done_.assign(injector_.label_flips().size(), 0);
-    ckpt_flip_done_.assign(injector_.checkpoint_flips().size(), 0);
-    sdc_repair_count_.assign(devices_, 0);
-    sdc_lag_.clear();
-    audit_boundary_ = 0;
-    final_audits_ = 0;
-    last_sdc_rollback_round_ = std::numeric_limits<std::uint64_t>::max();
-    invariants_valid_ = true;
   }
 
   // ---- observability -----------------------------------------------------
@@ -331,48 +223,13 @@ class Executor {
     }
   }
 
-
-  /// Registers every buffer the engine conceptually places on the GPU.
-  /// Throws sim::OutOfDeviceMemory when capacity is exceeded — the
-  /// "missing data points" of the paper's scaling figures.
-  void charge_memory(int d, const partition::LocalGraph& lg,
-                     sim::DeviceMemory& mem) {
-    mem.allocate("graph", lg.bytes());
-    const std::uint64_t label_bytes =
-        static_cast<std::uint64_t>(lg.num_local) *
-        (sizeof(RV) + sizeof(BV) + Program::kExtraBytesPerVertex);
-    mem.allocate("labels", label_bytes);
-    mem.allocate("worklist", static_cast<std::uint64_t>(lg.num_local) * 8 +
-                                 lg.num_local / 4);
-    mem.allocate("sync_metadata", sync().metadata_bytes(d));
-    if (config_.balancer == sim::Balancer::LB) {
-      // Merrill-style load-balanced search needs a per-edge scan array.
-      mem.allocate("lb_scratch", lg.num_out_edges() * 4);
-    }
-    if (config_.global_label_overhead_bytes > 0) {
-      mem.allocate("global_arrays",
-                   static_cast<std::uint64_t>(dg().global_vertices()) *
-                       config_.global_label_overhead_bytes);
-    }
-    std::uint64_t buffers = 0;
-    for (int o = 0; o < devices_; ++o) {
-      buffers += static_cast<std::uint64_t>(
-                     sync().list(d, o, comm::ProxyFilter::kAll).size()) *
-                 (sizeof(RV) + 4);
-      buffers += static_cast<std::uint64_t>(
-                     sync().list(o, d, comm::ProxyFilter::kAll).size()) *
-                 (sizeof(BV) + 4);
-    }
-    mem.allocate("comm_buffers", buffers);
-  }
-
   // ---- compute ------------------------------------------------------------
   /// Runs one local round on device d starting at simulated time `at`;
   /// returns the kernel time (inflated by an active straggler fault)
   /// and updates work stats. Purely device-local.
   sim::SimTime compute_one_round(int d, sim::SimTime at) {
     Dev& dev = devs_[d];
-    const auto& lg = dg().part(d);
+    const auto& lg = res_.dg().part(d);
     dev.ctx->reset_work();
     std::vector<VertexId> frontier;
     frontier.swap(dev.frontier);
@@ -383,16 +240,15 @@ class Executor {
       dev.progress =
           program_.compute_round(lg, dev.state, frontier, *dev.ctx);
     }
-    merge_activations(dev);
-    if (injector_.active() && injector_.has_sdc()) {
-      kernel_sdc_perturb(d, at);
-    }
+    dev.merge_activations();
+    res_.perturb_kernel(d, at);
 
     const sim::KernelSchedule sched =
         analyze_kernel(dev.ctx->work_sizes(), config_.balancer,
                        topo_.spec(d).thread_blocks);
     const sim::GpuCostModel cost(topo_.spec(d), params_);
     sim::SimTime t = cost.kernel_time(sched, config_.balancer);
+    sim::SimTime stall;
     if (injector_.active()) {
       const double slow = injector_.compute_slowdown(d, at);
       if (slow > 1.0) {
@@ -409,12 +265,10 @@ class Executor {
         }
         t += extra;
       }
-      const sim::SimTime stall = apply_memory_pressure(d, at + t);
+      stall = apply_memory_pressure(d, at + t);
       t += stall;
-      gray_.observe_kernel(d, t.seconds(), stall.seconds());
-    } else {
-      gray_.observe_kernel(d, t.seconds());
     }
+    res_.observe_kernel(d, t, stall);
     stats_.compute_time[d] += t;
     stats_.work_items[d] += dev.ctx->total_edges();
     stats_.rounds[d] += 1;
@@ -428,10 +282,6 @@ class Executor {
     return t;
   }
 
-  [[nodiscard]] bool device_has_work(int d) const {
-    return !devs_[d].frontier.empty() || devs_[d].progress;
-  }
-
   /// Applies the memory-pressure fault in effect on device `d` at `at`:
   /// an external squatter claims the ramped fraction of capacity. What
   /// fits in free headroom is allocated under a "pressure" tag (the
@@ -441,9 +291,9 @@ class Executor {
   /// so the parallel BSP compute phase never races.
   sim::SimTime apply_memory_pressure(int d, sim::SimTime at) {
     const double frac = injector_.memory_pressure(d, at);
-    std::uint64_t& squat = pressure_squat_[static_cast<std::size_t>(d)];
-    if (frac <= 0.0 && squat == 0) return sim::SimTime{};
     Dev& dev = devs_[d];
+    std::uint64_t& squat = dev.pressure_squat;
+    if (frac <= 0.0 && squat == 0) return sim::SimTime{};
     const std::uint64_t cap = dev.memory->capacity();
     const auto want =
         static_cast<std::uint64_t>(frac * static_cast<double>(cap));
@@ -535,8 +385,8 @@ class Executor {
     /// for broadcast.
     static const comm::ExchangeList& list(const Executor& ex, int from,
                                           int to) {
-      return kReduce ? ex.sync().list(from, to, ex.reduce_filter_)
-                     : ex.sync().list(to, from, ex.bcast_filter_);
+      return kReduce ? ex.res_.sync().list(from, to, ex.reduce_filter_)
+                     : ex.res_.sync().list(to, from, ex.bcast_filter_);
     }
     /// The sender's source field: mirror values for reduce, master
     /// values for broadcast.
@@ -600,7 +450,7 @@ class Executor {
     comm::WireHeader& h = p.header;
     h.version = comm::kWireVersion;
     h.kind = static_cast<std::uint8_t>(kind);
-    h.epoch = epoch_;
+    h.epoch = res_.epoch();
     h.round = round;
     h.seq = devs_[from].seq_out[channel(to, kind)]++;
     if (injector_.active()) h.checksum = comm::payload_checksum(p);
@@ -623,7 +473,7 @@ class Executor {
     if (!config_.wire_protocol || !p.header.sealed()) return Admit::kApply;
     const comm::WireHeader& h = p.header;
     const auto seq = static_cast<std::int64_t>(h.seq);
-    if (h.epoch != epoch_) {
+    if (h.epoch != res_.epoch()) {
       // Sealed under a pre-rebuild layout: its positions index exchange
       // lists that no longer exist. Safe to drop — the post-eviction
       // re-feed resends every proxy value.
@@ -812,7 +662,7 @@ class Executor {
     // Partition gate: cross-partition traffic is held at the edge.
     while (injector_.hosts_partitioned(sh, dh, start)) {
       const sim::SimTime heal = injector_.partition_heal(sh, dh, start);
-      if (monitor_.fenced(from, heal) || monitor_.fenced(to, heal)) {
+      if (res_.fenced(from, heal) || res_.fenced(to, heal)) {
         // An endpoint is evicted before the link heals: the message is
         // from/to a fenced side and must never be applied.
         note(fault::Incident::kNetFenced, from, to, 0, size, start, start);
@@ -941,59 +791,45 @@ class Executor {
   template <typename D>
   void apply_payload(int o, const comm::Payload<typename D::T>& p) {
     Dev& dev = devs_[o];
-    const auto& lg = dg().part(o);
+    const auto& lg = res_.dg().part(o);
     dev.changed.clear();
     D::apply(program_, D::list(*this, p.from, o), p, dev, dev.changed);
     comm_per_dev_[o].*D::kValues += p.count();
     for (VertexId v : dev.changed) {
       program_.on_update(lg, dev.state, v, D::kUpdate, *dev.ctx);
     }
-    merge_activations(dev);
+    dev.merge_activations();
   }
 
   // =========================================================================
   // BSP: global rounds with a barrier (Section III-B).
   // =========================================================================
   void run_bsp() {
-    auto& pool = sim::ThreadPool::global();
     sim::SimTime barrier;  // all devices aligned at round start
 
     const std::uint32_t round_limit =
         config_.fixed_rounds > 0 ? config_.fixed_rounds : config_.max_rounds;
 
     for (std::uint32_t round = 0; round < round_limit; ++round) {
-      // A lost-but-unevicted device is silent: it stops computing and
-      // sending at its loss time, and peers stop extracting toward it
-      // (no delivery can ever be acknowledged, so the runtime keeps
-      // those updates dirty instead of destroying them at extraction).
-      if (monitor_.active()) {
+      // Silence is sampled once per round, at its start.
+      res_.sample_silence(barrier);
+      const auto any_work = [&] {
         for (int d = 0; d < devices_; ++d) {
-          silent_[d] =
-              (dead_[d] || injector_.lost_at(d) <= barrier) ? 1 : 0;
-        }
-      }
-      const bool losses_pending =
-          monitor_.active() && !monitor_.all_losses_evicted();
-      const bool any_work = [&] {
-        for (int d = 0; d < devices_; ++d) {
-          if (silent_[d]) continue;
-          if (device_has_work(d)) return true;
+          if (!res_.silent(d) && devs_[d].has_work()) return true;
         }
         return false;
-      }();
-      if (!any_work && force_sync_rounds_ == 0 && config_.fixed_rounds == 0) {
-        if (!losses_pending) {
-          if (bsp_may_terminate(barrier)) break;
+      };
+      if (!any_work() && !res_.forcing_sync() && config_.fixed_rounds == 0) {
+        if (!res_.losses_pending()) {
+          if (res_.certify(barrier)) break;
           continue;  // a final-audit repair revived work; rerun the round
         }
         // Survivors are done but a lost device has not crossed the
         // eviction threshold yet: idle until the detector fires (the
         // run is not over — re-homing may re-activate work).
-        barrier = barrier + config_.health.heartbeat_interval;
-        barrier = bsp_fault_barrier(barrier);
+        barrier = res_.barrier(barrier + config_.health.heartbeat_interval);
         continue;
       }
-      if (force_sync_rounds_ > 0) --force_sync_rounds_;
       ++stats_.global_rounds;
       flight().record(obs::FlightKind::kRound, -1, stats_.global_rounds, 0,
                       "bsp", barrier.seconds());
@@ -1003,16 +839,13 @@ class Executor {
       std::vector<Msg<RV>> rmsgs(
           static_cast<std::size_t>(devices_) * devices_);
       std::vector<std::uint8_t> computed(devices_, 0);
-      pool.parallel_for(0, devices_, [&](std::size_t lo, std::size_t hi,
-                                         std::size_t) {
-        for (std::size_t d = lo; d < hi; ++d) {
-          if (silent_[d]) continue;
-          if (device_has_work(static_cast<int>(d))) {
-            ready[d] += compute_one_round(static_cast<int>(d), ready[d]);
-            computed[d] = 1;
-          }
-          ready[d] = extract_all<Reduce>(static_cast<int>(d), ready[d], rmsgs);
+      each_device([&](int d) {
+        if (res_.silent(d)) return;
+        if (devs_[d].has_work()) {
+          ready[d] += compute_one_round(d, ready[d]);
+          computed[d] = 1;
         }
+        ready[d] = extract_all<Reduce>(d, ready[d], rmsgs);
       });
       if (config_.collect_trace) {
         RoundTrace tr;
@@ -1027,49 +860,35 @@ class Executor {
 
       // Phase 2: reduce application (parallel over receivers).
       std::vector<sim::SimTime> after_recv = ready;
-      pool.parallel_for(0, devices_, [&](std::size_t lo, std::size_t hi,
-                                         std::size_t) {
-        for (std::size_t o = lo; o < hi; ++o) {
-          after_recv[o] =
-              apply_all<Reduce>(static_cast<int>(o), ready[o], rmsgs);
-        }
+      each_device([&](int o) {
+        after_recv[o] = apply_all<Reduce>(o, ready[o], rmsgs);
       });
 
       // Phase 3: broadcast extraction (parallel over senders).
       std::vector<Msg<BV>> bmsgs(
           static_cast<std::size_t>(devices_) * devices_);
       std::vector<sim::SimTime> after_bext = after_recv;
-      pool.parallel_for(0, devices_, [&](std::size_t lo, std::size_t hi,
-                                         std::size_t) {
-        for (std::size_t d = lo; d < hi; ++d) {
-          if (silent_[d]) continue;
-          after_bext[d] = extract_all<Broadcast>(static_cast<int>(d),
-                                                 after_recv[d], bmsgs);
-        }
+      each_device([&](int d) {
+        if (res_.silent(d)) return;
+        after_bext[d] = extract_all<Broadcast>(d, after_recv[d], bmsgs);
       });
 
       // Phase 4: broadcast application (parallel over receivers).
       std::vector<sim::SimTime> done = after_bext;
-      pool.parallel_for(0, devices_, [&](std::size_t lo, std::size_t hi,
-                                         std::size_t) {
-        for (std::size_t o = lo; o < hi; ++o) {
-          done[o] =
-              apply_all<Broadcast>(static_cast<int>(o), after_bext[o], bmsgs);
-          devs_[o].dirty_b.clear();  // broadcasts consumed
-        }
+      each_device([&](int o) {
+        done[o] = apply_all<Broadcast>(o, after_bext[o], bmsgs);
+        devs_[o].dirty_b.clear();  // broadcasts consumed
       });
 
       // Network byte accounting (sequential; cheap).
-      for (auto& m : rmsgs) {
-        if (m.payload.from >= 0) {
+      const auto account = [&](const auto& msgs) {
+        for (const auto& m : msgs) {
+          if (m.payload.from < 0) continue;
           account_network(m.payload.from, m.payload.to, m.payload.bytes);
         }
-      }
-      for (auto& m : bmsgs) {
-        if (m.payload.from >= 0) {
-          account_network(m.payload.from, m.payload.to, m.payload.bytes);
-        }
-      }
+      };
+      account(rmsgs);
+      account(bmsgs);
 
       if (config_.collect_trace && !stats_.trace.empty()) {
         std::uint64_t volume = 0;
@@ -1117,1028 +936,27 @@ class Executor {
       }
       barrier = next_barrier;
 
-      // Fault handling at the barrier (a consistent cut): detect and
-      // recover crashes that occurred this round, then checkpoint.
-      barrier = bsp_fault_barrier(barrier);
+      // The resilience safe point at the barrier (a consistent cut).
+      barrier = res_.barrier(barrier);
 
       // Convergence: no frontier, no progress, and no sync changes —
       // but never while a planned loss is still awaiting eviction.
-      if (config_.fixed_rounds == 0 && force_sync_rounds_ == 0 &&
-          !(monitor_.active() && !monitor_.all_losses_evicted())) {
-        bool active = false;
-        for (int d = 0; d < devices_; ++d) {
-          if (silent_[d]) continue;
-          if (device_has_work(d)) active = true;
-        }
-        if (!active && bsp_may_terminate(barrier)) break;
+      if (config_.fixed_rounds == 0 && !res_.forcing_sync() &&
+          !res_.losses_pending() && !any_work() && res_.certify(barrier)) {
+        break;
       }
     }
     total_time_ = barrier;
   }
 
-  // ---- BSP fault handling ----------------------------------------------
-  /// Whether the program's state can be snapshot/restored through the
-  /// archive interface; non-checkpointable programs fall back to
-  /// degraded recovery on crash.
-  static constexpr bool kCheckpointable =
-      fault::CheckpointableState<typename Program::DeviceState>;
-  /// Whether per-vertex copies can migrate between layouts (master
-  /// re-homing); without it eviction falls back to a cold restart of
-  /// the whole computation on the shrunken layout.
-  static constexpr bool kRehomable =
-      fault::RehomableState<typename Program::DeviceState>;
-  /// Modeled snapshot storage: disk bandwidth (bytes/s) for checkpoint
-  /// writes, read-back verification and partition-store re-reads, and
-  /// a fixed latency per snapshot write and per restore or re-init.
-  static constexpr double kDiskBw = 2e9;
-  static constexpr sim::SimTime kWriteLatency = sim::SimTime::micros(200.0);
-  static constexpr sim::SimTime kRestoreLatency =
-      sim::SimTime::micros(200.0);
-
-  [[nodiscard]] std::vector<char> snapshot_device(int d) {
-    partition::ByteWriter w;
-    Dev& dev = devs_[d];
-    if constexpr (kCheckpointable) dev.state.archive(w);
-    fault::archive_bitset(w, dev.dirty_r);
-    fault::archive_bitset(w, dev.dirty_b);
-    w.vec(dev.frontier);
-    fault::archive_bitset(w, dev.in_frontier);
-    w.pod(static_cast<std::uint8_t>(dev.progress ? 1 : 0));
-    w.pod(dev.local_round);
-    return w.take();
-  }
-
-  void restore_device(int d, const std::vector<char>& bytes) {
-    partition::ByteReader r(bytes, "checkpoint restore: device " +
-                                       std::to_string(d));
-    Dev& dev = devs_[d];
-    if constexpr (kCheckpointable) dev.state.archive(r);
-    fault::restore_bitset(r, dev.dirty_r);
-    fault::restore_bitset(r, dev.dirty_b);
-    dev.frontier = r.template vec<VertexId>();
-    fault::restore_bitset(r, dev.in_frontier);
-    dev.progress = r.template pod<std::uint8_t>() != 0;
-    dev.local_round = r.template pod<std::uint32_t>();
-    r.expect_end();
-  }
-
-  /// Restores devices from the last checkpoint, in parallel; evicted
-  /// devices only when `include_dead`. Returns the slowest device's
-  /// restore cost.
-  sim::SimTime restore_checkpoint(bool include_dead) {
-    sim::SimTime worst;
-    for (int d = 0; d < devices_; ++d) {
-      if (dead_[d] != 0 && !include_dead) continue;
-      restore_device(d, last_ckpt_.devices[d].bytes);
-      const auto n = last_ckpt_.devices[d].bytes.size();
-      const sim::SimTime t = kRestoreLatency +
-                             sim::SimTime{static_cast<double>(n) / kDiskBw} +
-                             net_.host_to_device(n);
-      worst = sim::max(worst, t);
-    }
-    return worst;
-  }
-
-  /// Cold-restarts device d on the current layout: fresh program state,
-  /// no dirty marks, the program's initial frontier. Returns the modeled
-  /// re-init cost (the label upload).
-  sim::SimTime reinit_device(int d) {
-    Dev& dev = devs_[d];
-    const auto& lg = dg().part(d);
-    dev.state = typename Program::DeviceState{};
-    dev.dirty_r.clear();
-    dev.dirty_b.clear();
-    dev.frontier.clear();
-    dev.in_frontier.clear();
-    program_.init(lg, dev.state, *dev.ctx);
-    merge_activations(dev);
-    dev.progress = !dev.frontier.empty();
-    const std::uint64_t label_bytes =
-        static_cast<std::uint64_t>(lg.num_local) * (sizeof(RV) + sizeof(BV));
-    return kRestoreLatency + net_.host_to_device(label_bytes);
-  }
-
-  /// Runs crash detection/recovery and periodic checkpointing at the
-  /// barrier; returns the barrier time including fault-handling cost.
-  sim::SimTime bsp_fault_barrier(sim::SimTime barrier) {
-    if (injector_.active()) {
-      std::vector<int> crashed;
-      while (next_crash_ < injector_.crashes().size() &&
-             injector_.crashes()[next_crash_].at <= barrier) {
-        crashed.push_back(injector_.crashes()[next_crash_].device);
-        ++next_crash_;
-      }
-      if (!crashed.empty()) barrier = bsp_recover(barrier, crashed);
-    }
-    if (monitor_.active()) {
-      for (int cd : monitor_.advance(barrier, fault_global_)) {
-        if (!dead_[cd]) barrier = barrier + evict_device(cd, barrier);
-      }
-    }
-    // Gray-failure mitigation at the same consistent cut: migrate the
-    // hottest shards off sustained-degraded devices, or gracefully
-    // evict the hopeless (mode permitting).
-    if (gray_.active()) {
-      for (const auto& a : gray_.evaluate(barrier, dead_, fault_global_)) {
-        if (dead_[a.device]) continue;
-        barrier = barrier + mitigate_device(a, barrier);
-      }
-    }
-    // SDC boundary at the same cut. The audit precedes the checkpoint
-    // below so a snapshot is only ever taken from certified-clean state.
-    const bool sdc_clean =
-        !injector_.has_sdc() || sdc_boundary(barrier, nullptr);
-    if constexpr (kCheckpointable) {
-      // Checkpoints are suppressed while a loss is silent-but-undetected
-      // so a later rollback always lands on a pre-loss cut.
-      if (config_.checkpoint.interval_rounds > 0 &&
-          stats_.global_rounds %
-                  static_cast<std::uint32_t>(
-                      config_.checkpoint.interval_rounds) ==
-              0 &&
-          !undetected_loss(barrier) && sdc_clean) {
-        barrier = take_checkpoint(barrier);
-      }
-    }
-    return barrier;
-  }
-
-  /// A silence that will end in eviction has begun (<= t) but its
-  /// device has not been evicted yet: a permanent loss, or a partition
-  /// destined to outlast detection. Checkpoints are suppressed in this
-  /// state so a later rollback always lands on a pre-silence cut.
-  [[nodiscard]] bool undetected_loss(sim::SimTime t) const {
-    if (!monitor_.active()) return false;
-    for (int d = 0; d < devices_; ++d) {
-      if (dead_[d]) continue;
-      if (monitor_.fence_at(d) < sim::SimTime::max() &&
-          monitor_.fence_origin(d) <= t) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  sim::SimTime take_checkpoint(sim::SimTime barrier) {
-    fault::Checkpoint ck;
-    ck.round = current_round();
-    ck.devices.resize(devices_);
-    sim::SimTime worst;
-    for (int d = 0; d < devices_; ++d) {
-      ck.devices[d].bytes = snapshot_device(d);
-      const auto n = ck.devices[d].bytes.size();
-      const sim::SimTime t = kWriteLatency + net_.device_to_host(n) +
-                             sim::SimTime{static_cast<double>(n) / kDiskBw};
-      worst = sim::max(worst, t);  // devices snapshot in parallel
-    }
-    // kCheckpointBitFlip: corrupt the serialized blob *after* the
-    // write-side checksum was computed, so the corruption rides to disk
-    // undetected unless the policy's read-back verification is on.
-    if (injector_.has_sdc()) {
-      const auto& flips = injector_.checkpoint_flips();
-      for (std::size_t i = 0; i < flips.size(); ++i) {
-        if (ckpt_flip_done_[i] != 0 || flips[i].at > barrier) continue;
-        ckpt_flip_done_[i] = 1;
-        const int fd = flips[i].device;
-        if (fd < 0 || fd >= devices_ || dead_[fd]) continue;
-        auto& bytes = ck.devices[fd].bytes;
-        if (bytes.empty()) continue;
-        const std::uint64_t h = util::fnv1a64_value(
-            static_cast<std::uint64_t>(ck.round) |
-            (static_cast<std::uint64_t>(fd) << 32));
-        const std::uint64_t pos = h % (bytes.size() * 8);
-        bytes[pos / 8] = static_cast<char>(
-            static_cast<unsigned char>(bytes[pos / 8]) ^
-            static_cast<unsigned char>(1u << (pos % 8)));
-        note(fault::Incident::kCheckpointFlip, fd);
-      }
-    }
-    fault_global_.checkpoint_bytes += ck.total_bytes();
-    fault_global_.checkpoint_time += worst;
-    note(fault::Incident::kCheckpoint, -1, -1, ck.round,
-         static_cast<std::int64_t>(ck.total_bytes()), barrier, barrier + worst);
-    if (ckpt_store_.persistent()) ckpt_store_.save(ck);
-    // Read-back verification: re-snapshot the (still clean) live state
-    // and compare it against what was just written, so a corrupt blob
-    // is caught while the clean source exists — not at restore time.
-    if (injector_.has_sdc() && config_.audit.enabled() &&
-        config_.audit.check_checkpoints) {
-      bool rewrite = false;
-      for (int d = 0; d < devices_; ++d) {
-        if (dead_[d]) continue;
-        std::vector<char> fresh = snapshot_device(d);
-        worst = sim::max(worst,
-                         sim::SimTime{static_cast<double>(fresh.size()) /
-                                      kDiskBw});
-        if (fresh == ck.devices[d].bytes) continue;
-        note(fault::Incident::kCheckpointViolation, d);
-        if (config_.audit.repairs()) {
-          // Repair: discard the corrupt blob and rewrite it from the
-          // clean live state (a copy-from-clean-source repair).
-          ck.devices[d].bytes = std::move(fresh);
-          note(fault::Incident::kMirrorRepair, d);
-          rewrite = true;
-        }
-      }
-      if (rewrite && ckpt_store_.persistent()) ckpt_store_.save(ck);
-    }
-    last_ckpt_ = std::move(ck);
-    return barrier + worst;
-  }
-
-  // ---- silent-data-corruption auditing (DESIGN.md §13) -------------------
-  /// Flips bit `bit % width` of `v` through its byte representation
-  /// (works for integral and floating label types alike).
-  template <typename T>
-  static void flip_bit(T& v, int bit) {
-    unsigned char bytes[sizeof(T)];
-    std::memcpy(bytes, &v, sizeof(T));
-    const unsigned b = static_cast<unsigned>(bit) % (sizeof(T) * 8);
-    bytes[b / 8] ^= static_cast<unsigned char>(1u << (b % 8));
-    std::memcpy(&v, bytes, sizeof(T));
-  }
-
-  /// kKernelSdc: a window where the device's label updates are silently
-  /// perturbed. Post-kernel, flip one bit of one *mirror* entry of the
-  /// broadcast field (the replicated surface the digests cross-check);
-  /// victim and bit derive from the roll hash so reruns replay the
-  /// perturbation bit-for-bit. Touches only device-local state and
-  /// fault_per_dev_[d], so the parallel BSP compute phase never races.
-  void kernel_sdc_perturb(int d, sim::SimTime at) {
-    const std::uint64_t h =
-        injector_.kernel_sdc_roll(d, stats_.rounds[d] + 1, at);
-    if (h == 0) return;
-    const auto& lg = dg().part(d);
-    if (lg.num_local <= lg.num_masters) return;  // no mirrors resident
-    auto vals = program_.bcast_mirror_dst(devs_[d].state);
-    const VertexId victim =
-        lg.num_masters +
-        static_cast<VertexId>((h >> 8) % (lg.num_local - lg.num_masters));
-    flip_bit(vals[victim], static_cast<int>(h % (sizeof(BV) * 8)));
-    note(fault::Incident::kKernelFlip, d);
-  }
-
-  /// Applies every pending kLabelBitFlip due at or before `upto`,
-  /// optionally restricted to one device. BSP applies flips at each
-  /// barrier (a consistent cut); BASP applies them on the target
-  /// device's own timeline and catches stragglers at the final audit.
-  /// The flip lands in the broadcast field — the replicated surface the
-  /// digests cross-check. Single-threaded contexts only (touches the
-  /// shared lag tracker).
-  void apply_label_flips(sim::SimTime upto, int only_device = -1) {
-    const auto& flips = injector_.label_flips();
-    for (std::size_t i = 0; i < flips.size(); ++i) {
-      if (label_flip_done_[i] != 0) continue;
-      const fault::ResolvedLabelFlip& f = flips[i];
-      if (only_device >= 0 && f.device != only_device) continue;
-      if (f.at > upto) continue;
-      label_flip_done_[i] = 1;
-      if (f.device < 0 || f.device >= devices_ || dead_[f.device] ||
-          silent_[f.device] != 0) {
-        continue;  // nothing live to corrupt
-      }
-      const auto& lg = dg().part(f.device);
-      const auto lv = lg.local_of(static_cast<VertexId>(f.vertex));
-      if (!lv) continue;  // not resident on this layout
-      auto vals = program_.bcast_mirror_dst(devs_[f.device].state);
-      flip_bit(vals[*lv], f.bit);
-      note(fault::Incident::kLabelFlip, f.device, -1, f.vertex, f.bit, f.at);
-      if (config_.audit.enabled()) {
-        sdc_lag_.note_injection(f.device, audit_boundary_);
-      }
-    }
-  }
-
-  /// SDC boundary at the consistent cut `t`: lands every label flip due
-  /// by then and audits when the policy is due, advancing `t` by the
-  /// audit cost. True when the state is certified clean (nothing
-  /// detected, and no injected-but-unaudited corruption pending, which
-  /// suppresses a snapshot exactly like an undetected loss does), so a
-  /// checkpoint may follow. Sets `*revived` when a repair re-activated
-  /// work.
-  bool sdc_boundary(sim::SimTime& t, bool* revived) {
-    apply_label_flips(t);
-    const integrity::AuditPolicy& pol = config_.audit;
-    if (!pol.enabled()) return true;
-    const std::uint64_t b = audit_boundary_++;
-    const std::uint64_t before = fault_global_.sdc_detected;
-    if (pol.due(b)) t = run_audit(t, b, /*final_pass=*/false, revived);
-    return fault_global_.sdc_detected == before && sdc_lag_.pending() == 0;
-  }
-
-  /// Audit-population skip rule: dead, BSP-silent, or fence-doomed
-  /// devices are out (their proxies are stale by design — a pending
-  /// eviction, not corruption — and would read as false digest splits).
-  [[nodiscard]] bool audit_skip(int d) const {
-    if (dead_[d] != 0 || silent_[d] != 0) return true;
-    return monitor_.active() && monitor_.fence_at(d) < sim::SimTime::max();
-  }
-
-  /// One audit pass at simulated time `t` over every live device,
-  /// fusing the detectors of DESIGN.md §13: (a) per-shard replica
-  /// digests over the broadcast exchange lists, (b) the programs' ABFT
-  /// invariant hooks, and — at the *final* boundary — (c) the whole-run
-  /// certificate. Under kRepair the pass also heals: a split shard is
-  /// quarantined and overwritten from the canonical master copy;
-  /// violations no copy can fix rewind the cluster (rollback or cold
-  /// restart). Returns the time including the modeled audit cost; sets
-  /// `*revived` when a repair re-activated work. Single-threaded
-  /// contexts only (BSP barrier / BASP quiescent events).
-  sim::SimTime run_audit(sim::SimTime t, std::uint64_t b, bool final_pass,
-                         bool* revived) {
-    const auto audit_scope = prof().scope("audit.scan");
-    const integrity::AuditPolicy& pol = config_.audit;
-    const std::uint64_t detected_before = fault_global_.sdc_detected;
-    bool rollback_needed = false;
-    std::vector<int> blamed;
-
-    auto note_lag = [&](int dev) {
-      const std::int64_t lag = sdc_lag_.note_detection(dev, b);
-      if (lag >= 0) {
-        fault::SdcStats& s = fault_global_.sdc_for(dev);
-        s.max_detect_lag_rounds = std::max(
-            s.max_detect_lag_rounds, static_cast<std::uint64_t>(lag));
-      }
-    };
-
-    // (a) Replica digests: FNV over the label values each broadcast
-    // exchange list shares, master copy vs mirror copy. Provably equal
-    // at a clean BSP barrier / BASP quiescent point (every master
-    // change broadcasts before the cut closes), so a split localizes
-    // corruption to the (mirror device, shard) pair.
-    if (pol.check_digests) {
-      for (int m = 0; m < devices_; ++m) {
-        if (audit_skip(m)) continue;
-        for (int o = 0; o < devices_; ++o) {
-          if (o == m || audit_skip(o)) continue;
-          const auto& list = sync().list(m, o, bcast_filter_);
-          if (list.size() == 0) continue;
-          std::span<const BV> mirror_vals =
-              program_.bcast_mirror_dst(devs_[m].state);
-          std::span<const BV> master_vals =
-              program_.bcast_master_src(devs_[o].state);
-          const std::uint64_t hm = integrity::shard_digest<BV>(
-              mirror_vals, list.mirror_local);
-          const std::uint64_t ho = integrity::shard_digest<BV>(
-              master_vals, list.master_local);
-          if (hm == ho) continue;
-          const integrity::Divergence div = integrity::scan_divergence<BV>(
-              mirror_vals, list.mirror_local, master_vals,
-              list.master_local);
-          note_lag(m);
-          note_lag(o);
-          note(fault::Incident::kDigestSplit, m, o,
-               static_cast<std::int64_t>(div.count), 0, t, t);
-          if (!pol.repairs()) continue;
-          // Quarantine the shard and heal it from the canonical master
-          // copy. A corrupted *master* becomes consistent-wrong after
-          // this copy; the final certificate still catches that, and
-          // the repair escalates to a rewind there.
-          auto mut = program_.bcast_mirror_dst(devs_[m].state);
-          const auto& mlg = dg().part(m);
-          for (std::size_t i = 0; i < list.size(); ++i) {
-            const VertexId ml = list.mirror_local[i];
-            const VertexId sl = list.master_local[i];
-            if (mut[ml] == master_vals[sl]) continue;
-            mut[ml] = master_vals[sl];
-            program_.on_update(mlg, devs_[m].state, ml,
-                               UpdateKind::kBroadcast, *devs_[m].ctx);
-          }
-          merge_activations(devs_[m]);
-          note(fault::Incident::kQuarantine, m);
-          note(fault::Incident::kMirrorRepair, m);
-          blamed.push_back(m);
-          if (revived != nullptr) *revived = true;
-        }
-      }
-    }
-
-    // (b) ABFT invariants: the programs' self-audit hooks, sound
-    // mid-run. Skipped after a layout rebuild (re-homing reconciles
-    // monotone ledgers, which breaks the exact invariants).
-    if (pol.check_invariants && invariants_valid_) {
-      if constexpr (integrity::SelfAuditing<Program>) {
-        for (int d = 0; d < devices_; ++d) {
-          if (audit_skip(d)) continue;
-          const std::string msg =
-              program_.audit_device(dg().part(d), devs_[d].state);
-          if (msg.empty()) continue;
-          note_lag(d);
-          blamed.push_back(d);
-          // No vertex-granular blame: healing means rewinding.
-          rollback_needed = true;
-          note(fault::Incident::kInvariant, d, -1, 0, 0, t, t);
-        }
-      }
-      // (c) The whole-run certificate, at the final boundary only: a
-      // complete re-verification (relaxation sweep / union-find /
-      // quiescence ledger) that even fully propagated consistent-wrong
-      // corruption cannot satisfy. No device-granular blame here.
-      if (final_pass) {
-        if constexpr (integrity::GloballyAuditing<Program>) {
-          std::vector<const partition::LocalGraph*> lgs;
-          std::vector<const typename Program::DeviceState*> sts;
-          for (int d = 0; d < devices_; ++d) {
-            if (audit_skip(d)) continue;
-            lgs.push_back(&dg().part(d));
-            sts.push_back(&devs_[d].state);
-          }
-          const std::string msg = program_.audit_global(lgs, sts);
-          if (!msg.empty()) {
-            rollback_needed = true;
-            note(fault::Incident::kCertificate, -1, -1,
-                 static_cast<std::int64_t>(b), 0, t, t);
-            if (!config_.flight_dump.empty() && !pol.repairs()) {
-              // Terminal certificate failure (no repair path will run):
-              // leave the black box behind for post-mortem triage.
-              flight().dump(config_.flight_dump, "final_audit_failure",
-                            /*include_wall=*/true);
-            }
-          }
-        }
-      }
-    }
-
-    std::sort(blamed.begin(), blamed.end());
-    blamed.erase(std::unique(blamed.begin(), blamed.end()), blamed.end());
-
-    if (rollback_needed && pol.repairs()) {
-      t = sdc_rewind(t, blamed);
-      if (revived != nullptr) *revived = true;
-    }
-
-    // Escalation: a device whose state needed healing `escalate_after`
-    // times is a repeat offender — its silicon is flipping bits. Retire
-    // it through the graceful-eviction path while a survivor exists.
-    if (pol.repairs()) {
-      for (const int d : blamed) {
-        if (dead_[d] != 0) continue;
-        sdc_repair_count_[d] += 1;
-        if (sdc_repair_count_[d] >= pol.escalate_after &&
-            live_devices() >= 2) {
-          sdc_repair_count_[d] = std::numeric_limits<int>::min() / 2;
-          note(fault::Incident::kEscalation, d);
-          t = t + evict_device(d, t, /*graceful=*/true);
-          if (revived != nullptr) *revived = true;
-        }
-      }
-    }
-
-    // Modeled cost: each device hashes its shared broadcast entries
-    // (the surface the BASP idle poll already scans) plus two launch
-    // overheads; devices audit in parallel, so the boundary pays the
-    // worst one.
-    sim::SimTime worst;
-    for (int d = 0; d < devices_; ++d) {
-      if (audit_skip(d)) continue;
-      const sim::SimTime c =
-          params_.kernel_launch * 2.0 +
-          sim::SimTime{static_cast<double>(
-                           sync().shared_entries(d, bcast_filter_)) /
-                       params_.scan_throughput};
-      worst = sim::max(worst, c);
-    }
-    // Every detection this pass, including read-back violations of a
-    // checkpoint the pass itself triggered (escalation -> eviction).
-    const std::uint64_t found = fault_global_.sdc_detected - detected_before;
-    note(final_pass ? fault::Incident::kFinalAudit : fault::Incident::kAudit,
-         -1, -1, static_cast<std::int64_t>(found), static_cast<std::int64_t>(b),
-         t, t + worst);
-    return t + worst;
-  }
-
-  /// Heals corruption no replica copy can fix: rewind every live device
-  /// to the last clean checkpoint (flip events already consumed are not
-  /// re-fired, so the replay converges to the fault-free fixed point),
-  /// or — when no usable checkpoint exists, or the previous rewind
-  /// landed on this same cut and failed to clear the violation — cold
-  /// restart the computation on the current layout.
-  sim::SimTime sdc_rewind(sim::SimTime t, const std::vector<int>& blamed) {
-    if constexpr (kCheckpointable) {
-      if (last_ckpt_.valid() &&
-          last_ckpt_.round != last_sdc_rollback_round_) {
-        last_sdc_rollback_round_ = last_ckpt_.round;
-        const sim::SimTime worst = restore_checkpoint(/*include_dead=*/false);
-        if (current_round() > last_ckpt_.round) {
-          fault_global_.reexecuted_rounds +=
-              current_round() - last_ckpt_.round;
-        }
-        fault_global_.recovery_time += worst;
-        note(fault::Incident::kRewindRepair, -1);
-        for (const int d : blamed) note(fault::Incident::kRollbackBlame, d);
-        note(fault::Incident::kSdcRollback, -1, -1, last_ckpt_.round,
-             static_cast<std::int64_t>(last_ckpt_.total_bytes()), t,
-             t + worst);
-        force_sync_rounds_ = std::max(force_sync_rounds_, 2);
-        return t + worst;
-      }
-    }
-    // Cold restart: re-init every live device on the current layout;
-    // monotone programs re-converge to the fault-free fixed point.
-    sim::SimTime worst;
-    for (int d = 0; d < devices_; ++d) {
-      if (dead_[d] == 0) worst = sim::max(worst, reinit_device(d));
-    }
-    // The pre-restart checkpoint belongs to the abandoned execution.
-    last_ckpt_ = fault::Checkpoint{};
-    fault_global_.recovery_time += worst;
-    note(fault::Incident::kRewindRepair, -1);
-    for (const int d : blamed) note(fault::Incident::kRestartBlame, d);
-    note(fault::Incident::kSdcRestart, -1, -1, current_round(), 0, t,
-         t + worst);
-    force_sync_rounds_ = std::max(force_sync_rounds_, 2);
-    return t + worst;
-  }
-
-  /// Gate on BSP termination: the run may only end after a final audit
-  /// (certificate included) comes back clean. A repair revives work, in
-  /// which case the caller keeps looping and re-converges before trying
-  /// again. Returns true when it is safe to stop.
-  bool bsp_may_terminate(sim::SimTime& barrier) {
-    if (!injector_.has_sdc() || !config_.audit.enabled()) return true;
-    if (final_audits_ >= kMaxFinalAudits) return true;  // safety valve
-    final_audits_ += 1;
-    // Stragglers scheduled past the last barrier still get exercised
-    // (and certified) instead of silently expiring with the run.
-    apply_label_flips(sim::SimTime::max());
-    bool revived = false;
-    barrier = run_audit(barrier, audit_boundary_++, /*final_pass=*/true,
-                        &revived);
-    if (revived || force_sync_rounds_ > 0) return false;
-    for (int d = 0; d < devices_; ++d) {
-      if (silent_[d] == 0 && dead_[d] == 0 && device_has_work(d)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Recovers the devices in `crashed`: rollback-restores every device
-  /// from the last checkpoint when one exists (a globally consistent
-  /// cut, so the whole cluster rewinds together), else cold-restarts
-  /// the crashed devices with peer re-feed (graceful degradation).
-  sim::SimTime bsp_recover(sim::SimTime barrier,
-                           const std::vector<int>& crashed) {
-    for (int cd : crashed) {
-      note(fault::Incident::kCrash, cd, -1, current_round(), 0, barrier);
-    }
-    if constexpr (kCheckpointable) {
-      if (last_ckpt_.valid()) {
-        const sim::SimTime worst = restore_checkpoint(/*include_dead=*/true);
-        fault_global_.reexecuted_rounds +=
-            stats_.global_rounds - last_ckpt_.round;
-        fault_global_.recovery_time += worst;
-        note(fault::Incident::kRollback, -1, -1, last_ckpt_.round,
-             static_cast<std::int64_t>(last_ckpt_.total_bytes()), barrier,
-             barrier + worst);
-        force_sync_rounds_ = std::max(force_sync_rounds_, 1);
-        return barrier + worst;
-      }
-    }
-    sim::SimTime worst;
-    for (int cd : crashed) worst = sim::max(worst, degraded_recover(cd));
-    fault_global_.recovery_time += worst;
-    note(fault::Incident::kDegradedRecovery, -1, crashed.front(),
-         static_cast<std::int64_t>(crashed.size()), 0, barrier,
-         barrier + worst);
-    // The re-feed dirty marks alone do not make device_has_work() true;
-    // keep the loop alive long enough for a reduce + broadcast sweep.
-    force_sync_rounds_ = std::max(force_sync_rounds_, 2);
-    return barrier + worst;
-  }
-
-  /// Cold-restarts device `cd` (program re-init) and marks every shared
-  /// proxy on its peers dirty so the next sync rounds re-feed the
-  /// recovered device: peer mirrors of cd's masters re-reduce, and peer
-  /// masters with mirrors on cd re-broadcast. Exact for monotone /
-  /// idempotent programs (min-label bfs/sssp/cc); returns the modeled
-  /// re-init cost.
-  sim::SimTime degraded_recover(int cd) {
-    const sim::SimTime cost = reinit_device(cd);
-    for (int o = 0; o < devices_; ++o) {
-      if (o == cd) continue;
-      bool marked = false;
-      for (VertexId v : sync().list(o, cd, reduce_filter_).mirror_local) {
-        devs_[o].dirty_r.set(v);
-        marked = true;
-      }
-      for (VertexId v : sync().list(cd, o, bcast_filter_).master_local) {
-        devs_[o].dirty_b.set(v);
-        marked = true;
-      }
-      if (marked) devs_[o].flush_pending = true;
-    }
-    note(fault::Incident::kRefeed, cd);
-    return cost;
-  }
-
-  // ---- permanent device loss: eviction + master re-homing ---------------
-  /// Evicts permanently lost device `cd` at time `now`: optionally rolls
-  /// every survivor back to the last pre-loss checkpoint (which also
-  /// resurrects the lost device's state as a migration source), re-reads
-  /// the lost subgraph from the partition store, re-elects a master for
-  /// every vertex the lost device owned, rebuilds the layout / exchange
-  /// lists / memoized translations, migrates per-vertex program state,
-  /// and re-feeds all proxies. Returns the modeled recovery cost; the
-  /// executor continues on N-1 devices. Shared by the BSP and BASP paths.
-  ///
-  /// `graceful` marks a gray-failure eviction: the device is *alive*
-  /// (just hopelessly slow), so no rollback is needed — its current
-  /// per-vertex state is harvested directly and detection latency is
-  /// zero. The run loses its capacity, never its data.
-  sim::SimTime evict_device(int cd, sim::SimTime now, bool graceful = false) {
-    // Silence origin: the loss instant, or — for a partition that
-    // outlasted detection — the start of the covering window (the
-    // device never "died"; lost_at is +inf then).
-    const sim::SimTime lost_at =
-        graceful ? now
-        : monitor_.fence_origin(cd) < sim::SimTime::max()
-            ? monitor_.fence_origin(cd)
-            : injector_.lost_at(cd);
-    const std::uint32_t cur_round = current_round();
-    sim::SimTime cost;
-
-    // 1. Rollback to the last consistent cut when the program can use
-    // it (checkpoints are suppressed while a loss is undetected, so the
-    // cut predates the loss and the lost device's snapshot is genuine).
-    // A graceful eviction skips this: the evictee's live state is
-    // already consistent at this cut.
-    bool have_lost_state = graceful && kRehomable;
-    if constexpr (kCheckpointable && kRehomable) {
-      if (!graceful && last_ckpt_.valid()) {
-        cost = cost + restore_checkpoint(/*include_dead=*/false);
-        note(fault::Incident::kEvictRollback, -1);
-        if (cur_round > last_ckpt_.round) {
-          fault_global_.reexecuted_rounds += cur_round - last_ckpt_.round;
-        }
-        have_lost_state = true;
-      }
-    }
-
-    // 2. Harvest every surviving per-vertex copy (old local-id space);
-    // the lost device contributes only its rolled-back snapshot.
-    const auto harvest = harvest_states(have_lost_state ? -1 : cd);
-    const partition::DistGraph& old_dg = dg();
-
-    // 3. The lost subgraph: durable checksummed partition store when
-    // configured (modeled disk re-read), else the simulator's in-memory
-    // copy (topology is never lost in simulation, only program state).
-    partition::LocalGraph lost_part;
-    if (!config_.partition_store_dir.empty()) {
-      lost_part =
-          partition::load_partition_part(config_.partition_store_dir, cd);
-      cost = cost +
-             sim::SimTime{static_cast<double>(lost_part.bytes()) / kDiskBw};
-    } else {
-      lost_part = old_dg.part(cd);
-    }
-
-    // 4. Capacity-aware re-homing plan, then 5. the layout switch.
-    partition::RehomeResult plan = partition::rehome_partition(
-        old_dg, cd, lost_part, headroom_except(cd), dead_);
-    dead_[cd] = 1;
-    silent_[cd] = 1;
-    if (monitor_.active()) monitor_.mark_evicted(cd);
-    gray_.retire(cd);
-    switch_layout(std::move(plan.dg), cd, lost_part, harvest,
-                  have_lost_state);
-
-    // 6. Account the migration: state bytes cross the interconnect
-    // (representative survivor pair), and every survivor re-uploads its
-    // rebuilt sync metadata / address translations.
-    int s0 = -1;
-    int s1 = -1;
-    for (int d = 0; d < devices_ && s1 < 0; ++d) {
-      if (dead_[d]) continue;
-      (s0 < 0 ? s0 : s1) = d;
-    }
-    if (s0 >= 0 && s1 >= 0) {
-      cost = cost + net_.host_to_host(s0, s1, plan.migrated_bytes);
-    }
-    cost = cost + metadata_upload();
-
-    if (monitor_.fence_from_partition(cd)) {
-      note(fault::Incident::kPartitionEvict, cd);
-    }
-    fault_global_.rehomed_masters += plan.rehomed.size();
-    fault_global_.migrated_vertices += plan.orphaned.size();
-    fault_global_.detection_latency =
-        fault_global_.detection_latency + (now - lost_at);
-    fault_global_.recovery_time = fault_global_.recovery_time + cost;
-    cost = settle_layout(now, cost);
-    const auto rehomed = static_cast<std::int64_t>(plan.rehomed.size());
-    const auto orphaned = static_cast<std::int64_t>(plan.orphaned.size());
-    note(graceful ? fault::Incident::kGracefulEvict
-                  : fault::Incident::kLossEvict,
-         cd, -1, rehomed, orphaned, now, now + cost);
-    note(fault::Incident::kRehome, cd, -1, rehomed, orphaned, now);
-    return cost;
-  }
-
-  // ---- gray-failure mitigation: online shard migration -----------------
-  [[nodiscard]] int live_devices() const {
-    int n = 0;
-    for (int d = 0; d < devices_; ++d) n += dead_[d] ? 0 : 1;
-    return n;
-  }
-
-  /// Executes one GrayFailureMonitor action at a safe cut: online shard
-  /// migration off a degraded-but-live device, or — once the monitor
-  /// declares it hopeless under kEvict — a graceful live eviction.
-  /// Returns the modeled mitigation cost.
-  sim::SimTime mitigate_device(const fault::GrayFailureMonitor::Action& a,
-                               sim::SimTime now) {
-    note(fault::Incident::kGrayVerdict, a.device, -1, a.hopeless ? 1 : 0,
-         a.memory_bound ? 1 : 0, now);
-    if (a.hopeless) {
-      if (live_devices() < 2) return sim::SimTime{};  // nowhere to go
-      const sim::SimTime cost =
-          evict_device(a.device, now, /*graceful=*/true);
-      fault_global_.mitigation_time += cost;
-      note(fault::Incident::kGrayEvict, a.device);
-      return cost;
-    }
-    return migrate_device(a, now);
-  }
-
-  /// Moves the hottest half of `cd`'s masters (at least one) onto
-  /// healthier devices at a safe cut, bit-exactly: every live device's
-  /// per-vertex state is harvested, the layout is rebuilt via
-  /// partition::rebalance_partition, and promoted/adopted masters take
-  /// the degraded device's canonical copies verbatim (the same
-  /// archive/adopt path evictions use, with the hot device staying live
-  /// as a mirror). Returns the modeled migration cost, or zero when the
-  /// program cannot re-home state or no placement exists — the run then
-  /// continues unchanged (observe-only in effect).
-  sim::SimTime migrate_device(const fault::GrayFailureMonitor::Action& a,
-                              sim::SimTime now) {
-    if constexpr (!kRehomable) {
-      (void)a;
-      (void)now;
-      return sim::SimTime{};
-    } else {
-      constexpr double kMigrateFraction = 0.5;
-      const int cd = a.device;
-      const partition::DistGraph& old_dg = dg();
-      partition::RebalanceResult plan;
-      try {
-        plan = partition::rebalance_partition(old_dg, cd, kMigrateFraction,
-                                              headroom_except(cd), dead_);
-      } catch (const std::exception&) {
-        // No live device can absorb the hottest shards (pressure
-        // everywhere): spend the budget so the monitor cools down and
-        // eventually declares the device hopeless instead of
-        // re-planning every evaluation.
-        gray_.note_migration(cd);
-        return sim::SimTime{};
-      }
-
-      // Shed guard: a compute-blamed migration must actually move work.
-      // Measured as the drop in the device's *local* out-edges across
-      // the rebalance, not the planner's migrated_edges counter: under
-      // vertex-cut layouts a migrated master leaves its mirror edges
-      // behind, so the counter overstates what the device sheds and the
-      // layout churn would be pure cost. A memory-blamed migration is
-      // exempt: any byte it sheds shrinks the spill deficit directly.
-      const double local_edges = std::max(
-          static_cast<double>(old_dg.part(cd).num_out_edges()), 1.0);
-      const double kept =
-          static_cast<double>(plan.dg.part(cd).num_out_edges());
-      const double shed = std::max(local_edges - kept, 0.0) / local_edges;
-      if (!a.memory_bound && shed < gray_.policy().min_shed_fraction) {
-        gray_.note_migration(cd);  // spend budget; re-planning would churn
-        note(fault::Incident::kMigrateSkip, cd, -1,
-             static_cast<std::int64_t>(plan.migrated_edges), 0, now, now);
-        return sim::SimTime{};
-      }
-
-      // Harvest every live device's per-vertex state (old local-id
-      // space); the degraded device is alive, so its copies are current.
-      switch_layout(std::move(plan.dg), cd, old_dg.part(cd),
-                    harvest_states(-1), /*have_cd_state=*/true);
-
-      // Account the migration: moved state crosses the interconnect
-      // from the degraded device, and every live device re-uploads its
-      // rebuilt sync metadata.
-      sim::SimTime cost;
-      int tgt = -1;
-      for (int d = 0; d < devices_ && tgt < 0; ++d) {
-        if (d != cd && !dead_[d]) tgt = d;
-      }
-      if (tgt >= 0) {
-        cost = cost + net_.host_to_host(cd, tgt, plan.migrated_bytes);
-      }
-      cost = cost + metadata_upload();
-
-      fault_global_.gray_migrated_masters += plan.moved.size();
-      fault_global_.gray_migrated_bytes += plan.migrated_bytes;
-      fault_global_.mitigation_time += cost;
-      fault_global_.degrade_for(cd).masters_moved_off += plan.moved.size();
-      gray_.note_migration(cd);
-      cost = settle_layout(now, cost);
-      note(fault::Incident::kMigrate, cd, -1,
-           static_cast<std::int64_t>(plan.moved.size()),
-           static_cast<std::int64_t>(plan.migrated_bytes), now, now + cost);
-      return cost;
-    }
-  }
-
-  /// Per-vertex program state of every live device except `skip` (-1:
-  /// none), indexed by device and the current layout's local ids.
-  std::vector<std::vector<std::vector<char>>> harvest_states(int skip) {
-    std::vector<std::vector<std::vector<char>>> harvest(
-        static_cast<std::size_t>(devices_));
-    if constexpr (kRehomable) {
-      for (int d = 0; d < devices_; ++d) {
-        if (dead_[d] || d == skip) continue;
-        const auto& lg = dg().part(d);
-        auto& slots = harvest[static_cast<std::size_t>(d)];
-        slots.resize(lg.num_local);
-        for (VertexId v = 0; v < lg.num_local; ++v) {
-          partition::ByteWriter w;
-          devs_[d].state.archive_vertex(w, v);
-          slots[v] = w.take();
-        }
-      }
-    } else {
-      (void)skip;
-    }
-    return harvest;
-  }
-
-  /// Free device memory of every live device other than `cd` (zero for
-  /// the rest): what a re-homing or rebalancing plan may fill.
-  [[nodiscard]] std::vector<std::uint64_t> headroom_except(int cd) const {
-    std::vector<std::uint64_t> free_bytes(static_cast<std::size_t>(devices_),
-                                          0);
-    for (int d = 0; d < devices_; ++d) {
-      if (d == cd || dead_[d]) continue;
-      const auto& mem = *devs_[d].memory;
-      free_bytes[static_cast<std::size_t>(d)] = mem.capacity() - mem.in_use();
-    }
-    return free_bytes;
-  }
-
-  /// Switches to the rebuilt layout `next` and rebuilds `cd` and every
-  /// live device on it from `harvest` (`cd_part` is `cd`'s old part).
-  /// The wire epoch moves on, so anything sealed against the old
-  /// exchange lists is fence-rejected on receipt. Re-homing reconciles
-  /// monotone ledgers (e.g. pagerank's consumed mass), which breaks the
-  /// exact ABFT invariants; digest and checkpoint auditing stay sound.
-  void switch_layout(partition::DistGraph next, int cd,
-                     const partition::LocalGraph& cd_part,
-                     const std::vector<std::vector<std::vector<char>>>&
-                         harvest,
-                     bool have_cd_state) {
-    // The previous layout stays alive until every device is rebuilt
-    // from it.
-    const partition::DistGraph& old_dg = dg();
-    auto prev_dg = std::move(rehomed_dg_);
-    auto prev_sync = std::move(rehomed_sync_);
-    rehomed_dg_ = std::make_unique<partition::DistGraph>(std::move(next));
-    rehomed_sync_ = std::make_unique<comm::SyncStructure>(*rehomed_dg_);
-    dgp_ = rehomed_dg_.get();
-    syncp_ = rehomed_sync_.get();
-    ++epoch_;
-    invariants_valid_ = false;
-    for (int d = 0; d < devices_; ++d) {
-      if (dead_[d] && d != cd) continue;  // earlier evictions stay empty
-      rebuild_device(d, cd, old_dg, cd_part, harvest, have_cd_state);
-    }
-  }
-
-  /// Every live device re-uploads its rebuilt sync metadata and address
-  /// translations, in parallel.
-  [[nodiscard]] sim::SimTime metadata_upload() const {
-    sim::SimTime meta;
-    for (int d = 0; d < devices_; ++d) {
-      if (dead_[d]) continue;
-      meta = sim::max(meta, net_.host_to_device(sync().metadata_bytes(d)));
-    }
-    return meta;
-  }
-
-  /// Closes a layout switch that began at `now` and has cost `cost` so
-  /// far: a checkpoint of the old layout cannot be restored onto the new
-  /// one, so it is replaced by a fresh snapshot, and the next rounds
-  /// must sync. Returns the total cost.
-  sim::SimTime settle_layout(sim::SimTime now, sim::SimTime cost) {
-    last_ckpt_ = fault::Checkpoint{};
-    if constexpr (kCheckpointable) {
-      if (config_.checkpoint.interval_rounds > 0) {
-        cost = take_checkpoint(now + cost) - now;
-      }
-    }
-    force_sync_rounds_ = std::max(force_sync_rounds_, 2);
-    return cost;
-  }
-
-  /// Rebuilds device `d`'s runtime structures on the current (rebuilt)
-  /// layout, migrating per-vertex program state from `harvest` (indexed
-  /// by the old layout's local ids). Election of state source per
-  /// vertex: own old copy; else the lost device's copy (when a rollback
-  /// resurrected it); else fresh init() values. A promoted master
-  /// prefers the lost master's canonical copy so monotone counters and
-  /// output values continue exactly.
-  void rebuild_device(int d, int cd, const partition::DistGraph& old_dg,
-                      const partition::LocalGraph& lost_part,
-                      const std::vector<std::vector<std::vector<char>>>&
-                          harvest,
-                      bool have_lost_state) {
-    Dev& dev = devs_[d];
-    const auto& nlg = dg().part(d);
-    const auto& olg = old_dg.part(d);
-    dev.ctx = std::make_unique<RoundCtx>(nlg.num_local);
-    dev.dirty_r = comm::Bitset{};
-    dev.dirty_r.resize(nlg.num_local);
-    dev.dirty_b = comm::Bitset{};
-    dev.dirty_b.resize(nlg.num_local);
-    dev.frontier.clear();
-    dev.in_frontier = comm::Bitset{};
-    dev.in_frontier.resize(nlg.num_local);
-    dev.ctx->attach(&dev.dirty_r, &dev.dirty_b);
-    dev.ctx->attach_obs(dev_scope(d));
-    // Every channel restarts at sequence zero on the new layout; the
-    // epoch bump fences anything sealed against the old numbering.
-    dev.seq_out.assign(static_cast<std::size_t>(devices_) * 2, 0);
-    dev.seq_in.assign(static_cast<std::size_t>(devices_) * 2, 0);
-    dev.state = typename Program::DeviceState{};
-    program_.init(nlg, dev.state, *dev.ctx);
-
-    if constexpr (kRehomable) {
-      const auto& own = harvest[static_cast<std::size_t>(d)];
-      const auto& lost = harvest[static_cast<std::size_t>(cd)];
-      for (VertexId v = 0; v < nlg.num_local; ++v) {
-        const VertexId gv = nlg.l2g[v];
-        RehomeRole role = RehomeRole::kFresh;
-        const std::vector<char>* src = nullptr;
-        if (const auto ov = olg.local_of(gv); ov && !own.empty()) {
-          src = &own[*ov];
-          role = nlg.is_master(v) && !olg.is_master(*ov)
-                     ? RehomeRole::kPromotedMaster
-                     : RehomeRole::kKept;
-          if (role == RehomeRole::kPromotedMaster && have_lost_state) {
-            if (const auto lv = lost_part.local_of(gv)) src = &lost[*lv];
-          }
-        } else if (have_lost_state) {
-          if (const auto lv = lost_part.local_of(gv)) {
-            src = &lost[*lv];
-            role = RehomeRole::kAdopted;
-          }
-        }
-        if (src != nullptr) {
-          partition::ByteReader r(*src, "rehome: migrated vertex state");
-          dev.state.archive_vertex(r, v);
-          r.expect_end();
-        }
-        if constexpr (RehomeAware<Program>) {
-          program_.on_rehome(nlg, dev.state, v, role, *dev.ctx);
-        }
-      }
-    }
-    merge_activations(dev);
-
-    // Full reactivation + re-feed: every local vertex re-enters the
-    // worklist; masters re-broadcast authoritative values and mirrors
-    // re-reduce current/pending values to their (possibly new) masters.
-    for (VertexId v = 0; v < nlg.num_local; ++v) {
-      if (!dev.in_frontier.test(v)) {
-        dev.in_frontier.set(v);
-        dev.frontier.push_back(v);
-      }
-      if (nlg.is_master(v)) {
-        dev.dirty_b.set(v);
-      } else {
-        dev.dirty_r.set(v);
-      }
-    }
-    dev.progress = !dev.frontier.empty();
-    dev.flush_pending = dev.progress;
-
-    // Re-charge DeviceMemory against the new layout, preserving the
-    // all-time peak across the swap.
-    stats_.peak_memory[d] =
-        std::max(stats_.peak_memory[d], dev.memory->peak());
-    dev.memory = std::make_unique<sim::DeviceMemory>(
-        d, topo_.spec(d).memory_bytes);
-    if (config_.static_pool_bytes > 0) {
-      dev.memory->reserve_static(config_.static_pool_bytes);
-    }
-    // The fresh DeviceMemory dropped any pressure squat; the next round
-    // boundary re-applies whatever pressure window is still active.
-    pressure_squat_[static_cast<std::size_t>(d)] = 0;
-    charge_memory(d, nlg, *dev.memory);
-  }
-
-  /// Round coordinate for checkpoint bookkeeping: global rounds under
-  /// BSP, the furthest local round under BASP.
-  [[nodiscard]] std::uint32_t current_round() const {
-    if (config_.exec_model == ExecModel::kSync) {
-      return stats_.global_rounds;
-    }
-    std::uint32_t r = stats_.global_rounds;
-    for (const Dev& dev : devs_) r = std::max(r, dev.local_round);
-    return r;
+  /// Runs fn(d) for every device on the host pool: one parallel BSP
+  /// phase.
+  template <typename F>
+  void each_device(F&& fn) {
+    sim::ThreadPool::global().parallel_for(
+        0, devices_, [&](std::size_t lo, std::size_t hi, std::size_t) {
+          for (std::size_t d = lo; d < hi; ++d) fn(static_cast<int>(d));
+        });
   }
 
   /// Extracts every D payload device d owes its partners, starting at
@@ -2153,7 +971,7 @@ class Executor {
     sim::SimTime ready = start;
     sim::SimTime engine = start;  // downlink copy engine (overlap mode)
     for (int o = 0; o < devices_; ++o) {
-      if (o == d || silent_[o]) continue;
+      if (o == d || res_.silent(o)) continue;
       const auto& list = D::list(*this, d, o);
       if (list.size() == 0) continue;
       auto payload = D::extract(list, values, dev, config_.sync_mode, d, o);
@@ -2236,19 +1054,6 @@ class Executor {
     return sim::max(t, recv_engine);
   }
 
-  /// Moves pending activations from the ctx into the frontier with
-  /// cross-source deduplication.
-  void merge_activations(Dev& dev) {
-    std::vector<VertexId> extra;
-    dev.ctx->take_next(extra);
-    for (VertexId v : extra) {
-      if (!dev.in_frontier.test(v)) {
-        dev.in_frontier.set(v);
-        dev.frontier.push_back(v);
-      }
-    }
-  }
-
   // =========================================================================
   // BASP: per-device local rounds over the discrete-event queue
   // (Gluon-Async, Section III-B). Devices run ahead with stale values;
@@ -2257,135 +1062,97 @@ class Executor {
   void run_basp() {
     sim::EventQueue queue;
     inboxes_.assign(devices_, BaspInbox{});
-    park_start_.assign(devices_, sim::SimTime::zero());
     if (injector_.active()) {
       // Under faults the omniscient-oracle shortcut is not trusted:
       // run the real Safra detector alongside and audit it at the end.
       td_ = std::make_unique<TerminationDetector>(devices_);
-      for (std::size_t i = 0; i < injector_.crashes().size(); ++i) {
-        queue.schedule(injector_.crashes()[i].at,
-                       [this, i, &queue](sim::SimTime t) {
-                         basp_crash(i, t, queue);
-                       });
+      // A crash re-inits the device; it and every parked peer holding
+      // re-feed marks wake (running peers pick the marks up in their
+      // next round).
+      for (const auto& c : injector_.crashes()) {
+        queue.schedule(c.at, [this, cd = c.device, &queue](sim::SimTime t) {
+          Dev& dev = devs_[cd];
+          dev.clock = sim::max(dev.clock, t) + res_.recover(t, {cd});
+          for (int o = 0; o < devices_; ++o) {
+            if (o == cd || devs_[o].flush_pending) {
+              wake(o, o == cd ? dev.clock : t, queue);
+            }
+          }
+        });
       }
     }
-    if (monitor_.active() &&
-        monitor_.first_loss_at() < sim::SimTime::max()) {
-      // Heartbeat monitor poll stream: starts one interval after the
-      // first fence-bound silence (no evictions can fire earlier) and
-      // reschedules itself until every doomed device is evicted. A plan
-      // whose partitions all heal before detection has no finite fence
-      // time — no monitor events, nothing to evict.
-      queue.schedule(
-          monitor_.first_loss_at() + config_.health.heartbeat_interval,
-          [this, &queue](sim::SimTime t) { basp_monitor(t, queue); });
+    // BASP has no barrier to piggyback detection on, so the heartbeat
+    // monitor is polled until every doomed device is evicted (realigning
+    // after each eviction).
+    if (const sim::SimTime at = res_.first_loss_poll();
+        at != sim::SimTime::max()) {
+      poll_stream(at, queue, [this, &queue](sim::SimTime t) {
+        return res_.poll_losses(t, realigner("wait.evict", queue));
+      });
     }
-    if (gray_.active()) {
-      // Gray-failure poll stream: BASP has no barrier to piggyback the
-      // monitor on, so it polls at the heartbeat cadence and stops once
-      // the system is quiescent with no scheduled fault to revive it.
-      queue.schedule(config_.health.heartbeat_interval,
-                     [this, &queue](sim::SimTime t) { basp_gray(t, queue); });
+    // The gray monitor is polled at the heartbeat cadence. Mitigation
+    // fires between events — every device's state is consistent at event
+    // boundaries — and the stream stops once the system is quiescent
+    // with no scheduled fault left to revive it (so the queue drains).
+    if (res_.polls_gray()) {
+      poll_stream(config_.health.heartbeat_interval, queue,
+                  [this, &queue](sim::SimTime t) {
+                    res_.mitigate(t, realigner("wait.migrate", queue));
+                    return res_.fault_pending(t) || !all_quiescent();
+                  });
     }
-    for (int d = 0; d < devices_; ++d) {
-      queue.schedule(sim::SimTime::zero(),
-                     [this, d, &queue](sim::SimTime t) {
-                       basp_step(d, t, queue);
-                     });
-    }
+    for (int d = 0; d < devices_; ++d) step_at(d, sim::SimTime::zero(), queue);
     std::uint64_t safety = 0;
     const std::uint64_t step_limit =
         static_cast<std::uint64_t>(config_.max_rounds) * devices_ * 4;
-    while (!queue.empty() && safety++ < step_limit) {
-      queue.run_next();
-    }
+    const auto drain = [&] {
+      while (!queue.empty() && safety++ < step_limit) queue.run_next();
+    };
+    drain();
     // Final SDC audit at termination: the drained queue means the
     // system is quiescent — the only cut where replica digests are
     // sound under BASP. A repair revives work, so drain again and
     // re-certify until the final audit comes back clean.
-    if (injector_.has_sdc() && config_.audit.enabled()) {
-      while (final_audits_ < kMaxFinalAudits) {
-        final_audits_ += 1;
-        sim::SimTime now;
-        for (int d = 0; d < devices_; ++d) {
-          now = sim::max(now, devs_[d].clock);
-        }
-        // Stragglers scheduled past the last event still get exercised.
-        apply_label_flips(sim::SimTime::max());
-        bool revived = false;
-        now = run_audit(now, audit_boundary_++, /*final_pass=*/true,
-                        &revived);
-        for (int d = 0; d < devices_; ++d) {
-          if (dead_[d] != 0) continue;
-          devs_[d].clock = sim::max(devs_[d].clock, now);
-        }
-        bool work = false;
-        for (int d = 0; d < devices_; ++d) {
-          if (dead_[d] == 0 && device_has_work(d)) work = true;
-        }
-        if (!revived && !work) break;
-        basp_sdc_revive(queue);
-        while (!queue.empty() && safety++ < step_limit) {
-          queue.run_next();
-        }
+    // Makespan is the slowest device clock (plus the final audit), NOT
+    // queue.now(): the monitor/gray poll streams keep firing (and
+    // finding nothing) on their own cadence after the last device parks,
+    // and an observation that observes nothing must not stretch the
+    // reported run.
+    for (;;) {
+      for (int d = 0; d < devices_; ++d) {
+        total_time_ = sim::max(total_time_, devs_[d].clock);
       }
+      if (res_.certify(total_time_)) break;
+      for (int d = 0; d < devices_; ++d) {
+        if (res_.dead(d)) continue;
+        devs_[d].clock = sim::max(devs_[d].clock, total_time_);
+      }
+      revive(queue);
+      drain();
     }
-    // Makespan is the slowest device clock, NOT queue.now(): the
-    // monitor/gray poll streams keep firing (and finding nothing) on
-    // their own cadence after the last device parks, and an observation
-    // that observes nothing must not stretch the reported run.
-    total_time_ = sim::SimTime::zero();
     for (int d = 0; d < devices_; ++d) {
-      total_time_ = sim::max(total_time_, devs_[d].clock);
       stats_.global_rounds =
           std::max(stats_.global_rounds, devs_[d].local_round);
     }
-    if (td_) {
-      // All devices are parked and all inboxes drained; the token must
-      // now complete two clean circulations. If it cannot, termination
-      // detection was broken by the fault schedule.
-      bool ok = td_->terminated();
-      for (int i = 0; i < devices_ * 4 && !ok; ++i) ok = td_->try_advance();
-      fault_global_.termination_clean = ok;
-    }
-  }
-
-  /// BASP crash handler, fired from the event queue at the fault time.
-  /// BASP has no barriers, hence no consistent cut to restore from:
-  /// recovery is always the degraded cold-restart + peer re-feed path.
-  /// In-flight messages to the crashed device stay queued (re-applying
-  /// them after re-init is safe for monotone programs and keeps the
-  /// termination detector's counters balanced).
-  void basp_crash(std::size_t idx, sim::SimTime t, sim::EventQueue& queue) {
-    const int cd = injector_.crashes()[idx].device;
-    note(fault::Incident::kCrash, cd, -1, devs_[cd].local_round, 0, t);
-    Dev& dev = devs_[cd];
-    dev.clock = sim::max(dev.clock, t);
-    const sim::SimTime cost = degraded_recover(cd);
-    dev.clock += cost;
-    fault_global_.recovery_time += cost;
-    devs_[cd].flush_pending = true;  // re-announce own masters/mirrors
-    // Wake the recovered device and every parked peer holding re-feed
-    // marks; running peers pick the marks up in their next round.
-    for (int o = 0; o < devices_; ++o) {
-      if (o != cd && !devs_[o].flush_pending) continue;
-      wake(o, o == cd ? dev.clock : t, queue);
-    }
+    // All devices are parked and all inboxes drained; the token must
+    // now complete two clean circulations. If it cannot, termination
+    // detection was broken by the fault schedule.
+    if (td_) fault_global_.termination_clean = settled();
   }
 
   void basp_step(int d, sim::SimTime now, sim::EventQueue& queue) {
     // A permanently lost device goes silent the instant its loss fires:
     // it neither computes nor sends, and is eventually evicted by the
     // heartbeat monitor.
-    if (basp_silent(d, now)) return;
+    if (res_.silent(d, now)) return;
     Dev& dev = devs_[d];
     if (dev.parked) {
       // A wake can come from a sender whose timeline lags this device's
       // local clock; the device only actually idled up to `now`.
-      if (now > park_start_[d]) {
-        stats_.wait_time[d] += now - park_start_[d];
+      if (now > dev.park_start) {
+        stats_.wait_time[d] += now - dev.park_start;
         dev_scope(d).span(obs::SpanKind::kWait, "wait.park",
-                          park_start_[d], now, 0, dev.local_round);
+                          dev.park_start, now, 0, dev.local_round);
       }
       dev.parked = false;
       if (td_) td_->set_active(d, true);
@@ -2397,7 +1164,7 @@ class Executor {
     // Under BASP a scheduled label flip lands on the target device's
     // own timeline — real mid-run corruption, free to propagate until
     // the next quiescent audit (or the final certificate) catches it.
-    if (injector_.has_sdc()) apply_label_flips(dev.clock, d);
+    res_.apply_label_flips(dev.clock, d);
 
     // Optional asynchrony throttle (ablation A2; the paper's proposed
     // control mechanism): a device that has run more than
@@ -2407,7 +1174,7 @@ class Executor {
     // consecutive stalls guarantees progress even if a partner has
     // permanently finished.
     if (config_.async_lead_cap > 0 && has_reduce_partner(d) &&
-        device_has_work(d)) {
+        dev.has_work()) {
       std::uint32_t min_seen = std::numeric_limits<std::uint32_t>::max();
       for (int o = 0; o < devices_; ++o) {
         if (o != d && is_partner(o, d)) {
@@ -2425,25 +1192,22 @@ class Executor {
         dev_scope(d).span(obs::SpanKind::kWait, "wait.throttle", dev.clock,
                           dev.clock + stall, 0, dev.local_round);
         dev.clock += stall;
-        queue.schedule(dev.clock, [this, d, &queue](sim::SimTime t) {
-          basp_step(d, t, queue);
-        });
+        step_at(d, dev.clock, queue);
         return;
       }
       dev.consecutive_stalls = 0;
     }
 
-    if (!device_has_work(d) || dev.local_round >= config_.max_rounds) {
+    if (!dev.has_work() || dev.local_round >= config_.max_rounds) {
       if (config_.async_busy_poll && dev.local_round < config_.max_rounds &&
           system_still_active(d)) {
         // Gluon-Async style idle churn: an empty local round still costs
         // a worklist-check kernel and a bitvector scan, and counts as a
         // local round (the paper's exploding min-round metric).
-        const sim::GpuCostModel cost(topo_.spec(d), params_);
         sim::SimTime poll = params_.kernel_launch * 2.0;
         poll += sim::SimTime{
             static_cast<double>(
-                sync().shared_entries(d, comm::ProxyFilter::kAll)) /
+                res_.sync().shared_entries(d, comm::ProxyFilter::kAll)) /
             params_.scan_throughput};
         stats_.compute_time[d] += poll;
         stats_.rounds[d] += 1;
@@ -2453,9 +1217,7 @@ class Executor {
         if (m_rounds_ != nullptr) m_rounds_->inc();
         basp_trace(dev.local_round, 0, 0, 0);
         dev.clock += poll;
-        queue.schedule(dev.clock, [this, d, &queue](sim::SimTime t) {
-          basp_step(d, t, queue);
-        });
+        step_at(d, dev.clock, queue);
         return;
       }
       if (dev.flush_pending) {
@@ -2465,9 +1227,7 @@ class Executor {
         dev.flush_pending = false;
         if (dev.dirty_r.any() || dev.dirty_b.any()) {
           basp_send(d, queue);
-          queue.schedule(dev.clock, [this, d, &queue](sim::SimTime t) {
-            basp_step(d, t, queue);
-          });
+          step_at(d, dev.clock, queue);
           return;
         }
       }
@@ -2484,11 +1244,15 @@ class Executor {
     // Round-boundary health sampling: keeps the φ / suspicion gauges
     // tracking the run between monitor polls (advance() still owns the
     // eviction verdicts).
-    if (monitor_.active()) monitor_.observe_until(dev.clock, fault_global_);
+    res_.sample_health(dev.clock);
     basp_trace(dev.local_round, dev.ctx->applications(),
                dev.ctx->total_edges(), 0);
     basp_send(d, queue);
-    queue.schedule(dev.clock, [this, d, &queue](sim::SimTime t) {
+    step_at(d, dev.clock, queue);
+  }
+
+  void step_at(int d, sim::SimTime at, sim::EventQueue& queue) {
+    queue.schedule(at, [this, d, &queue](sim::SimTime t) {
       basp_step(d, t, queue);
     });
   }
@@ -2500,10 +1264,7 @@ class Executor {
   /// round 1.
   void basp_trace(std::uint32_t round, std::uint64_t active,
                   std::uint64_t edges, std::uint64_t volume) {
-    if (!config_.collect_trace ||
-        config_.exec_model != ExecModel::kAsync) {
-      return;
-    }
+    if (!config_.collect_trace) return;
     if (round == 0) round = 1;
     if (stats_.trace.size() < round) {
       const std::size_t old = stats_.trace.size();
@@ -2614,7 +1375,7 @@ class Executor {
     Dev& dev = devs_[d];
     auto values = D::src(program_, dev.state);
     for (int o = 0; o < devices_; ++o) {
-      if (o == d || basp_silent(o, dev.clock)) continue;
+      if (o == d || res_.silent(o, dev.clock)) continue;
       const auto& list = D::list(*this, d, o);
       if (list.size() == 0) continue;
       auto payload = D::extract(list, values, dev, config_.sync_mode, d, o);
@@ -2672,165 +1433,63 @@ class Executor {
     box.insert(it, std::move(msg));
   }
 
-  /// True when device o has permanently failed by time `at` (evicted,
-  /// or lost but not yet detected): it must not receive extractions nor
-  /// run local rounds.
-  [[nodiscard]] bool basp_silent(int o, sim::SimTime at) const {
-    return dead_[o] != 0 ||
-           (monitor_.active() && injector_.lost_at(o) <= at);
+  /// Runs `poll(t)` at `at` and then every heartbeat interval for as
+  /// long as it returns true.
+  template <typename Poll>
+  void poll_stream(sim::SimTime at, sim::EventQueue& queue, Poll poll) {
+    queue.schedule(at, [this, &queue, poll](sim::SimTime t) {
+      if (poll(t)) {
+        poll_stream(t + config_.health.heartbeat_interval, queue, poll);
+      }
+    });
   }
 
-  /// Periodic heartbeat-monitor poll under BASP (there is no barrier to
-  /// piggyback detection on). Evicts suspects and reschedules itself
-  /// until every scheduled loss has been handled.
-  void basp_monitor(sim::SimTime t, sim::EventQueue& queue) {
-    if (!monitor_.active() || monitor_.all_losses_evicted()) return;
-    for (int cd : monitor_.advance(t, fault_global_)) {
-      if (!dead_[cd]) basp_evict(cd, t, queue);
-    }
-    if (!monitor_.all_losses_evicted()) {
-      queue.schedule(t + config_.health.heartbeat_interval,
-                     [this, &queue](sim::SimTime tt) {
-                       basp_monitor(tt, queue);
-                     });
-    }
-  }
-
-  /// BASP-side wrapper around evict_device: additionally drops every
-  /// in-flight payload (they index the *old* exchange lists, which the
-  /// rebuild invalidated — the post-rebuild re-feed resends everything)
-  /// and restarts Safra termination detection, whose message counters
-  /// straddle the dropped messages.
-  void basp_evict(int cd, sim::SimTime t, sim::EventQueue& queue) {
-    basp_realign(t + evict_device(cd, t), "wait.evict", cd, queue);
-  }
-
-  /// Shared tail of basp_evict and basp_mitigate, after the exchange
-  /// lists were rebuilt: wipes in-flight traffic, restarts Safra, moves
-  /// every running live device's clock to `resume` (a `span` wait
-  /// charged to device `cause`) and wakes every live device there.
-  void basp_realign(sim::SimTime resume, const char* span, int cause,
-                    sim::EventQueue& queue) {
-    inboxes_.assign(devices_, BaspInbox{});
-    if (td_) {
-      td_ = std::make_unique<TerminationDetector>(devices_);
+  /// What a BASP poll does after an action at `t` rebuilt the exchange
+  /// lists: every in-flight payload indexes the *old* lists, so the
+  /// inboxes are wiped (the post-rebuild re-feed resends everything),
+  /// Safra restarts, and every running live device's clock moves to the
+  /// post-action instant (a `span` wait charged to the acted-on device)
+  /// where every live device wakes. The poll's later actions still
+  /// start at `t`.
+  auto realigner(const char* span, sim::EventQueue& queue) {
+    return [this, span, &queue](sim::SimTime t, sim::SimTime cost, int cause) {
+      const sim::SimTime resume = t + cost;
+      inboxes_.assign(devices_, BaspInbox{});
+      restart_detector(/*all_passive=*/false);
       for (int o = 0; o < devices_; ++o) {
-        if (dead_[o]) td_->set_active(o, false);
+        if (res_.dead(o)) continue;
+        Dev& dev = devs_[o];
+        if (!dev.parked && resume > dev.clock) {
+          stats_.wait_time[o] += resume - dev.clock;
+          dev_scope(o).span(obs::SpanKind::kWait, span, dev.clock, resume, 0,
+                            static_cast<std::uint64_t>(cause));
+          dev.clock = resume;
+        }
+        wake(o, resume, queue);
       }
-    }
-    for (int o = 0; o < devices_; ++o) {
-      if (dead_[o]) continue;
-      Dev& dev = devs_[o];
-      if (!dev.parked && resume > dev.clock) {
-        stats_.wait_time[o] += resume - dev.clock;
-        dev_scope(o).span(obs::SpanKind::kWait, span, dev.clock, resume, 0,
-                          static_cast<std::uint64_t>(cause));
-        dev.clock = resume;
-      }
-      wake(o, resume, queue);
-    }
+      return t;
+    };
   }
 
-  /// Periodic gray-failure poll under BASP. Mitigation fires between
-  /// events — every device's state is consistent at event boundaries —
-  /// and the poll stops rescheduling once the system is quiescent with
-  /// no scheduled fault left to revive it (so the event queue drains).
-  void basp_gray(sim::SimTime t, sim::EventQueue& queue) {
-    if (!gray_.active()) return;
-    for (const auto& a : gray_.evaluate(t, dead_, fault_global_)) {
-      if (dead_[a.device]) continue;
-      basp_mitigate(a, t, queue);
-    }
-    bool busy = false;
-    for (int o = 0; o < devices_ && !busy; ++o) {
-      if (!dead_[o] && !devs_[o].parked) busy = true;
-      if (pending_arrivals(o)) busy = true;
-    }
-    if (!busy && monitor_.active() && !monitor_.all_losses_evicted()) {
-      busy = true;
-    }
-    if (!busy) {
-      for (const auto& c : injector_.crashes()) {
-        if (c.at > t) busy = true;
-      }
-    }
-    if (busy) {
-      queue.schedule(t + config_.health.heartbeat_interval,
-                     [this, &queue](sim::SimTime tt) {
-                       basp_gray(tt, queue);
-                     });
-    }
-  }
-
-  /// BASP-side mitigation wrapper: runs the shared migrate/evict path,
-  /// then realigns live devices at the post-mitigation instant exactly
-  /// like basp_evict.
-  void basp_mitigate(const fault::GrayFailureMonitor::Action& a,
-                     sim::SimTime t, sim::EventQueue& queue) {
-    const std::uint64_t before =
-        fault_global_.gray_migrations + fault_global_.gray_evictions;
-    const sim::SimTime cost = mitigate_device(a, t);
-    if (fault_global_.gray_migrations + fault_global_.gray_evictions ==
-        before) {
-      return;  // nothing happened (non-rehomable program / no placement)
-    }
-    basp_realign(t + cost, "wait.migrate", a.device, queue);
-  }
-
-  /// BASP has no barriers, so consistent cuts are taken at *quiescence*:
-  /// every device parked (or dead), no message in flight, and — when the
-  /// real Safra detector is running — its token circulates to a clean
-  /// termination verdict. Checkpoints stay suppressed while a loss is
-  /// silent-but-undetected so rollback always lands on a pre-loss cut.
-  void maybe_quiescent_checkpoint(int d) {
-    if constexpr (kCheckpointable) {
-      if (config_.checkpoint.interval_rounds == 0) return;
-      const sim::SimTime now = devs_[d].clock;
-      if (undetected_loss(now)) return;
-      for (int o = 0; o < devices_; ++o) {
-        if (!dead_[o] && !devs_[o].parked) return;
-        if (pending_arrivals(o)) return;
-      }
-      if (current_round() <
-          last_basp_ckpt_round_ +
-              static_cast<std::uint32_t>(config_.checkpoint.interval_rounds)) {
-        return;
-      }
-      if (td_) {
-        bool ok = td_->terminated();
-        for (int i = 0; i < devices_ * 4 && !ok; ++i) ok = td_->try_advance();
-        if (!ok) return;
-      }
-      // Cost is accounted in FaultStats::checkpoint_time; the snapshot
-      // overlaps park idle time, so device clocks do not advance.
-      (void)take_checkpoint(now);
-      last_basp_ckpt_round_ = current_round();
-    } else {
-      (void)d;
-    }
-  }
-
+  /// Parks device d. A park that leaves every device parked (or dead)
+  /// with no message in flight closes a quiescent cut, the BASP
+  /// resilience safe point: master == mirror is only guaranteed once
+  /// every send has been applied.
   void park(int d, sim::EventQueue& queue) {
     devs_[d].parked = true;
-    park_start_[d] = devs_[d].clock;
+    devs_[d].park_start = devs_[d].clock;
     if (td_) td_->set_active(d, false);
-    // BASP audits only at quiescent cuts: master == mirror is only
-    // guaranteed once every send has been applied. The audit precedes
-    // the checkpoint so snapshots are taken from certified-clean state;
-    // its cost overlaps park idle time, like the quiescent snapshot.
-    bool revived = false;
-    sim::SimTime t = devs_[d].clock;
-    const bool sdc_clean = !injector_.has_sdc() || !all_quiescent() ||
-                           sdc_boundary(t, &revived);
-    if (revived) basp_sdc_revive(queue);
-    if (sdc_clean) maybe_quiescent_checkpoint(d);
+    if (all_quiescent() &&
+        res_.quiescent(devs_[d].clock, [this] { return settled(); })) {
+      revive(queue);
+    }
   }
 
   /// Every device parked (or dead) with no message in flight: the BASP
   /// equivalent of a barrier, where replica digests are sound.
   [[nodiscard]] bool all_quiescent() const {
     for (int o = 0; o < devices_; ++o) {
-      if (dead_[o] == 0 && !devs_[o].parked) return false;
+      if (!res_.dead(o) && !devs_[o].parked) return false;
       if (pending_arrivals(o)) return false;
     }
     return true;
@@ -2839,22 +1498,38 @@ class Executor {
   /// Wakes every device an SDC repair gave work to and restarts Safra
   /// (a rewind/restart invalidates its message counters), so the event
   /// loop picks the revived computation back up.
-  void basp_sdc_revive(sim::EventQueue& queue) {
-    if (td_) {
-      td_ = std::make_unique<TerminationDetector>(devices_);
-      // Revive only happens at a quiescent cut, so every live device is
-      // parked: start them all passive and let the wakes below flip
-      // exactly the revived ones back to active as they unpark
-      // (basp_step does). A parked device left active would never step
-      // again to declare itself passive and would wedge the token ring
-      // into a false termination violation.
-      for (int o = 0; o < devices_; ++o) td_->set_active(o, false);
-    }
+  void revive(sim::EventQueue& queue) {
+    restart_detector(/*all_passive=*/true);
     for (int o = 0; o < devices_; ++o) {
-      if (dead_[o] != 0) continue;
-      if (!device_has_work(o) && !devs_[o].flush_pending) continue;
+      if (res_.dead(o)) continue;
+      if (!devs_[o].has_work() && !devs_[o].flush_pending) continue;
       wake(o, devs_[o].clock, queue);
     }
+  }
+
+  /// Restarts Safra's detector, whose message counters straddle the
+  /// traffic an eviction wiped or a rewind invalidated. Evicted devices
+  /// start passive. A revive happens at a quiescent cut where every
+  /// live device is parked, so there all start passive and the wakes
+  /// flip exactly the revived ones back to active as they unpark (a
+  /// parked device left active would never step again to declare itself
+  /// passive and would wedge the token ring into a false termination
+  /// violation).
+  void restart_detector(bool all_passive) {
+    if (!td_) return;
+    td_ = std::make_unique<TerminationDetector>(devices_);
+    for (int o = 0; o < devices_; ++o) {
+      if (all_passive || res_.dead(o)) td_->set_active(o, false);
+    }
+  }
+
+  /// Whether Safra's token completes two clean circulations now (always,
+  /// when no detector runs).
+  bool settled() {
+    if (!td_) return true;
+    bool ok = td_->terminated();
+    for (int i = 0; i < devices_ * 4 && !ok; ++i) ok = td_->try_advance();
+    return ok;
   }
 
   [[nodiscard]] bool pending_arrivals(int d) const {
@@ -2870,7 +1545,7 @@ class Executor {
   /// engine/termination.hpp; the simulator can consult global state.)
   [[nodiscard]] bool system_still_active(int self) const {
     for (int o = 0; o < devices_; ++o) {
-      if (o != self && !devs_[o].parked && device_has_work(o)) return true;
+      if (o != self && !devs_[o].parked && devs_[o].has_work()) return true;
       if (pending_arrivals(o)) return true;
     }
     return false;
@@ -2879,8 +1554,8 @@ class Executor {
   /// True when device `sender` can send sync messages to `receiver`
   /// (reduce from sender's mirrors, or broadcast from sender's masters).
   [[nodiscard]] bool is_partner(int sender, int receiver) const {
-    return sync().list(sender, receiver, reduce_filter_).size() > 0 ||
-           sync().list(receiver, sender, bcast_filter_).size() > 0;
+    return res_.sync().list(sender, receiver, reduce_filter_).size() > 0 ||
+           res_.sync().list(receiver, sender, bcast_filter_).size() > 0;
   }
   [[nodiscard]] bool has_reduce_partner(int d) const {
     for (int o = 0; o < devices_; ++o) {
@@ -2896,7 +1571,7 @@ class Executor {
     for (int d = 0; d < devices_; ++d) {
       stats_.peak_memory[d] =
           std::max(stats_.peak_memory[d], devs_[d].memory->peak());
-      stats_.evicted[d] = dead_[d];
+      stats_.evicted[d] = res_.dead(d) ? 1 : 0;
       stats_.comm += comm_per_dev_[d];
       stats_.faults += fault_per_dev_[d];
       result.states.push_back(std::move(devs_[d].state));
@@ -2909,25 +1584,12 @@ class Executor {
         static_cast<std::uint64_t>(injector_.checkpoint_flips().size());
     stats_.total_time = total_time_;
     result.stats = std::move(stats_);
-    if (rehomed_dg_) {
-      // Labels now live in the rebuilt layout's local-id spaces; hand
-      // the layout to the caller so gather helpers use the right one.
-      result.final_layout = std::shared_ptr<const partition::DistGraph>(
-          std::move(rehomed_dg_));
-    }
+    // Labels live in a rebuilt layout's local-id spaces after a re-home;
+    // hand that layout to the caller so gather helpers use the right one.
+    result.final_layout = res_.take_layout();
     return result;
   }
 
-  /// Current layout / exchange lists. These start at the caller's
-  /// structures and are swapped to the owned rebuilt ones when a device
-  /// eviction re-homes masters (the executor is the only writer).
-  [[nodiscard]] const partition::DistGraph& dg() const { return *dgp_; }
-  [[nodiscard]] const comm::SyncStructure& sync() const { return *syncp_; }
-
-  const partition::DistGraph* dgp_;
-  const comm::SyncStructure* syncp_;
-  std::unique_ptr<partition::DistGraph> rehomed_dg_;
-  std::unique_ptr<comm::SyncStructure> rehomed_sync_;
   const sim::Topology& topo_;
   const sim::CostParams& params_;
   sim::Interconnect net_;
@@ -2939,7 +1601,6 @@ class Executor {
 
   std::vector<Dev> devs_;
   std::vector<BaspInbox> inboxes_;
-  std::vector<sim::SimTime> park_start_;
   std::vector<comm::CommStats> comm_per_dev_;
   std::uint64_t traced_volume_ = 0;
   RunStats stats_;
@@ -2956,40 +1617,12 @@ class Executor {
   // Per incident kind; null unless its row's counter is registered.
   std::array<obs::Counter*, fault::kIncidentKinds> incident_counters_{};
 
-  // Fault-injection state.
+  // Fault injection and the incident stat slots.
   fault::FaultInjector injector_;
   std::vector<fault::FaultStats> fault_per_dev_;  // parallel-phase safe
   fault::FaultStats fault_global_;
-  fault::Checkpoint last_ckpt_;
-  fault::CheckpointStore ckpt_store_;
-  std::size_t next_crash_ = 0;
-  int force_sync_rounds_ = 0;  // keep BSP alive for post-recovery sync
   std::unique_ptr<TerminationDetector> td_;  // audited under faults
-  // Permanent-loss state.
-  fault::HeartbeatMonitor monitor_;
-  // Gray-failure state: the degradation monitor and the per-device
-  // bytes currently squatted by an active memory-pressure fault.
-  fault::GrayFailureMonitor gray_;
-  std::vector<std::uint64_t> pressure_squat_;
-  std::vector<std::uint8_t> dead_;    // evicted devices (empty parts)
-  std::vector<std::uint8_t> silent_;  // lost but not yet evicted (per round)
-  std::uint32_t last_basp_ckpt_round_ = 0;
-  // Layout epoch, sealed into every wire header and bumped on each
-  // eviction/rebuild: traffic sealed against a dead layout is fence-
-  // rejected on receipt instead of indexing rebuilt exchange lists.
-  std::uint32_t epoch_ = 0;
-  // Silent-data-corruption state (DESIGN.md §13): armed only while the
-  // plan schedules SDC events, so clean runs execute none of it.
-  integrity::DetectLagTracker sdc_lag_;
-  std::vector<std::uint8_t> label_flip_done_;
-  std::vector<std::uint8_t> ckpt_flip_done_;
-  std::vector<int> sdc_repair_count_;  // escalation ledger, per device
-  std::uint64_t audit_boundary_ = 0;   // audited-boundary counter
-  int final_audits_ = 0;               // certify/revive loop safety valve
-  std::uint64_t last_sdc_rollback_round_ =
-      std::numeric_limits<std::uint64_t>::max();
-  bool invariants_valid_ = true;  // cleared on re-home / migration
-  static constexpr int kMaxFinalAudits = 5;
+  Resilience<Program> res_;
 };
 
 /// Convenience entry point: partitioned graph + topology + config in,

@@ -5,6 +5,9 @@
 // and BASP-specific behavioural properties.
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string>
+
 #include "algo/cc.hpp"
 #include "algo/kcore.hpp"
 #include "algo/minplus.hpp"
@@ -13,6 +16,8 @@
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "helpers.hpp"
+#include "obs/trace.hpp"
+#include "util/hash.hpp"
 
 namespace sg {
 namespace {
@@ -181,6 +186,72 @@ TEST(BaspBehaviour, BusyPollStaysCorrectAndInflatesMinRounds) {
   // metric the paper reports (min local rounds) inflates.
   EXPECT_GE(b.stats.min_rounds(), a.stats.min_rounds());
   EXPECT_GT(b.stats.max_rounds(), a.stats.max_rounds());
+}
+
+// ---- golden pin of the self-rescheduling BASP paths -----------------------
+//
+// The asynchrony throttle (`async_lead_cap`) and busy-poll idle churn
+// (`async_busy_poll`) are the two BASP paths that put a device's own
+// next step back on the event queue without running a kernel. Their
+// schedule shows up in every number below, and the Chrome trace pins
+// the order of the stall and idle-poll spans themselves.
+
+struct BaspPin {
+  const char* name;
+  partition::Policy policy;
+  std::uint32_t lead_cap;
+  bool busy_poll;
+  double total_time_s;
+  std::uint64_t local_rounds;
+  std::uint64_t work_items;
+  std::uint64_t comm_bytes;
+  std::uint64_t trace_digest;
+};
+
+TEST(BaspGolden, SelfRescheduleStatsMatchRecordedValues) {
+  const auto g = testbed();
+  const auto src = graph::datasets::default_source(g);
+  const auto t = topo(8);
+  const auto p = params();
+  const BaspPin pins[] = {
+      {"throttle/cap1", partition::Policy::CVC, 1, false,
+       6.4996505999999793e-05, 63, 5568, 11732, 0xb996ff1e0a499383ULL},
+      {"throttle/cap2", partition::Policy::IEC, 2, false,
+       5.525392799999985e-05, 59, 4632, 12816, 0xa2350ce9db545a27ULL},
+      {"busy-poll", partition::Policy::IEC, 0, true, 1.4973193999999998e-05,
+       743, 4657, 12812, 0x48f1c117ae0fada5ULL},
+      {"busy-poll/cap1", partition::Policy::CVC, 1, true,
+       5.3677410000000999e-05, 7013, 4842, 10336, 0x6df8a9a3dba7e67fULL},
+  };
+  for (const BaspPin& pin : pins) {
+    PreparedGraph prep(g, pin.policy, 8);
+    obs::Tracer tracer;
+    auto c = cfg(engine::ExecModel::kAsync);
+    c.async_lead_cap = pin.lead_cap;
+    c.async_busy_poll = pin.busy_poll;
+    c.tracer = &tracer;
+    const auto r = algo::run_bfs(prep.dist, prep.sync, t, p, c, src);
+    EXPECT_EQ(r.dist, algo::reference::bfs(g, src)) << pin.name;
+    const engine::RunStats& s = r.stats;
+    const std::uint64_t rounds = std::accumulate(
+        s.rounds.begin(), s.rounds.end(), std::uint64_t{0});
+    const std::string trace = tracer.chrome_trace_json();
+    // Each cell must actually reach the path it pins.
+    if (pin.lead_cap > 0) {
+      EXPECT_NE(trace.find("wait.throttle"), std::string::npos) << pin.name;
+    }
+    if (pin.busy_poll) {
+      EXPECT_NE(trace.find("kernel.idle_poll"), std::string::npos)
+          << pin.name;
+    }
+    EXPECT_EQ(s.total_time.seconds(), pin.total_time_s) << pin.name;
+    EXPECT_EQ(rounds, pin.local_rounds) << pin.name;
+    EXPECT_EQ(s.total_work(), pin.work_items) << pin.name;
+    EXPECT_EQ(s.comm.total_volume(), pin.comm_bytes) << pin.name;
+    EXPECT_EQ(util::fnv1a64(trace.data(), trace.size()), pin.trace_digest)
+        << pin.name << std::hex << " 0x"
+        << util::fnv1a64(trace.data(), trace.size());
+  }
 }
 
 TEST(BaspBehaviour, OrkutAnalogueConverges) {

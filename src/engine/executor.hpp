@@ -322,7 +322,7 @@ class Executor {
   template <typename T>
   struct Msg {
     comm::Payload<T> payload;
-    sim::SimTime arrival;
+    sim::SimTime arrival;  ///< set by deliver_link; max() = fenced
     std::uint32_t sender_round = 0;
     obs::SpanRef net_ref;  ///< network-hop span, for receive-side links
     // Byzantine-network bookkeeping. The BSP apply re-applies or discards
@@ -346,6 +346,16 @@ class Executor {
   struct BaspInbox {
     Lane<RV> reduce;
     Lane<BV> bcast;
+  };
+
+  /// One pending BASP event, a plain record on the discrete-event queue
+  /// (`dispatch` runs it): a device's step, a wake (a step that runs
+  /// only if the device is parked by then), a scheduled crash, or a
+  /// heartbeat-cadence poll of the loss or gray monitor.
+  struct BaspEvent {
+    enum Kind : std::uint8_t { kStep, kWake, kCrash, kLossPoll, kGrayPoll };
+    Kind kind = kStep;
+    int device = -1;
   };
 
   /// One direction of a Gluon sync round (DESIGN.md §4). Reduce ships
@@ -608,24 +618,17 @@ class Executor {
     }
   }
 
-  /// Outcome of handing one message to the simulated NIC.
-  struct Delivery {
-    sim::SimTime arrival;      ///< max() = fenced, never delivered
-    bool corrupt = false;      ///< protocol off: payload must be perturbed
-    std::uint64_t corrupt_h = 0;  ///< deterministic bit-flip selector
-    bool duplicate = false;    ///< a ghost copy also arrives
-    sim::SimTime dup_arrival;  ///< ghost arrival when duplicate
-  };
-
   // Hash salts for deterministic anomaly shaping (independent of the
   // injector's decision salts).
   static constexpr std::uint64_t kGhostDelaySalt = 0x53474748ULL;
   static constexpr std::uint64_t kReorderDelaySalt = 0x53475244ULL;
   static constexpr std::uint64_t kCorruptBitsSalt = 0x53474342ULL;
 
-  /// Self-healing host-to-host delivery: returns the arrival of a
-  /// message handed to the network at `sent`, after the full gauntlet
-  /// of injected network behaviour. Under an active fault plan:
+  /// Self-healing host-to-host delivery of message `m` (its payload
+  /// sealed and costed) handed to the network at `sent`: sets its
+  /// arrival (max() when fenced, never delivered) and ghost fields after
+  /// the full gauntlet of injected network behaviour. Under an active
+  /// fault plan:
   ///  * a partition separating the endpoint hosts holds the message at
   ///    the partition edge until heal — unless either endpoint crosses
   ///    its eviction fence before then, in which case the message is
@@ -633,19 +636,19 @@ class Executor {
   ///  * each attempt may be dropped (timeout + backoff + retransmit);
   ///  * an attempt may be corrupted in flight: with the wire protocol
   ///    on the checksum catches it and the receiver NACKs the sender
-  ///    into the same retry ladder; with it off the corrupted payload
-  ///    is delivered and silently applied;
+  ///    into the same retry ladder; with it off the payload is
+  ///    bit-flipped here, delivered and silently applied;
   ///  * the delivered copy may be duplicated (a ghost arrives later)
   ///    or reordered (arrival delayed past later traffic).
   /// All decisions are pure seeded hashes, and only per-`from` stat
   /// slots are touched, so this is safe from the parallel BSP phases.
-  Delivery deliver_link(int from, int to, std::uint64_t bytes,
-                        sim::SimTime sent, fault::MsgKind kind,
-                        std::uint64_t round) {
-    Delivery r;
+  template <typename T>
+  void deliver_link(int from, int to, Msg<T>& m, sim::SimTime sent,
+                    fault::MsgKind kind, std::uint64_t round) {
+    const std::uint64_t bytes = m.payload.bytes;
     if (!injector_.active()) {
-      r.arrival = sent + net_.host_to_host(from, to, bytes);
-      return r;
+      m.arrival = sent + net_.host_to_host(from, to, bytes);
+      return;
     }
     const int sh = topo_.host_of(from);
     const int dh = topo_.host_of(to);
@@ -666,8 +669,8 @@ class Executor {
         // An endpoint is evicted before the link heals: the message is
         // from/to a fenced side and must never be applied.
         note(fault::Incident::kNetFenced, from, to, 0, size, start, start);
-        r.arrival = sim::SimTime::max();
-        return r;
+        m.arrival = sim::SimTime::max();
+        return;
       }
       note(fault::Incident::kPartitionHold, from, to, 0, size, start, heal);
       retransmit();
@@ -688,41 +691,37 @@ class Executor {
         hop = hop + net_.host_to_host_fixed(from, to) * (lat - 1.0);
       }
       const bool last = attempt >= config_.max_retries;
-      if (!last &&
-          injector_.drops_message(from, to, kind, round, attempt, start)) {
-        // Dropped: the bytes still crossed (part of) the wire, the
-        // sender waits out the delivery timeout, then retransmits.
-        note(fault::Incident::kDrop, from, to, attempt, size, start);
+      const bool dropped =
+          !last &&
+          injector_.drops_message(from, to, kind, round, attempt, start);
+      // An attempt that is not dropped reaches the receiver, possibly
+      // corrupted in flight.
+      const bool corrupt =
+          !dropped &&
+          injector_.corrupts_message(from, to, kind, round, attempt, start);
+      if (dropped || (corrupt && config_.wire_protocol && !last)) {
+        // Dropped, or a checksum mismatch at the receiver NIC NACKs the
+        // sender: the bytes still crossed (part of) the wire, and the
+        // sender waits out the delivery timeout, then retransmits with
+        // the timeout doubled. Each retransmission re-rolls, so a clean
+        // copy gets through.
+        note(dropped ? fault::Incident::kDrop : fault::Incident::kNackRetry,
+             from, to, attempt, size, start, start + timeout);
         retransmit();
         account_network(from, to, bytes);
         start += timeout;
         timeout = timeout * kRetryBackoff;
         continue;
       }
-      // This attempt reaches the receiver. In-flight corruption:
-      if (injector_.corrupts_message(from, to, kind, round, attempt,
-                                     start)) {
-        if (config_.wire_protocol && !last) {
-          // Checksum mismatch at the receiver NIC -> NACK -> the sender
-          // retransmits with the same timeout/backoff ladder. Each
-          // retransmission re-rolls, so a clean copy gets through.
-          note(fault::Incident::kNackRetry, from, to, attempt, size, start,
-               start + timeout);
-          retransmit();
-          account_network(from, to, bytes);
-          start += timeout;
-          timeout = timeout * kRetryBackoff;
-          continue;
-        }
+      if (corrupt) {
         if (!config_.wire_protocol) {
           // Unprotected: the bit-flipped payload is delivered and will
           // be silently applied — the failure mode the checksum exists
           // to prevent (sg_chaos --inject-defect demonstrates it).
-          r.corrupt = true;
-          r.corrupt_h = static_cast<std::uint64_t>(
-              injector_.anomaly_uniform(kCorruptBitsSalt, from, to, kind,
-                                        round) *
-              9007199254740992.0);
+          const double u = injector_.anomaly_uniform(kCorruptBitsSalt, from,
+                                                     to, kind, round);
+          comm::corrupt_payload(
+              m.payload, static_cast<std::uint64_t>(u * 9007199254740992.0));
           note(fault::Incident::kCorruptApplied, from, to, rnd, size, start);
         } else {
           // Protocol on but the retry ladder is exhausted: the bounded
@@ -731,35 +730,33 @@ class Executor {
           note(fault::Incident::kCorruptFinalAttempt, from, to);
         }
       }
-      sim::SimTime arrival = start + hop;
+      m.arrival = start + hop;
       if (injector_.reorders_message(from, to, kind, round, start)) {
         // Delayed past later traffic on the channel; the receiver's
         // reorder buffer (protocol on) restores apply order.
         const double u = injector_.anomaly_uniform(kReorderDelaySalt, from,
                                                    to, kind, round);
-        arrival = arrival + kRetryTimeout * (0.5 + 3.0 * u);
+        m.arrival = m.arrival + kRetryTimeout * (0.5 + 3.0 * u);
         note(fault::Incident::kReorder, from, to, rnd, size, start);
       }
       if (injector_.duplicates_message(from, to, kind, round, start)) {
         const double u = injector_.anomaly_uniform(kGhostDelaySalt, from, to,
                                                    kind, round);
-        r.duplicate = true;
-        r.dup_arrival = arrival + kRetryTimeout * (0.5 + 3.0 * u);
+        m.duplicated = true;
+        m.dup_arrival = m.arrival + kRetryTimeout * (0.5 + 3.0 * u);
         note(fault::Incident::kDupInject, from, to, rnd, size, start);
       }
-      r.arrival = arrival;
-      return r;
+      return;
     }
   }
 
   /// Ships one extracted payload from device d to o: seals the wire
   /// header, pays the two-stage send cost on d's pipeline (`clock` is the
   /// extraction timeline, `engine` the downlink copy engine), runs the
-  /// delivery gauntlet, perturbs a copy delivered corrupt, and records
-  /// the send spans. Returns the message in flight, or nothing when the
-  /// NIC fenced it. Shared by the BSP extraction and the BASP send; only
-  /// sender-owned slots are touched, so the parallel BSP phases never
-  /// race.
+  /// delivery gauntlet and records the send spans. Returns the message
+  /// in flight, or nothing when the NIC fenced it. Shared by the BSP
+  /// extraction and the BASP send; only sender-owned slots are touched,
+  /// so the parallel BSP phases never race.
   template <typename D>
   std::optional<Msg<typename D::T>> send_payload(
       int d, int o, comm::Payload<typename D::T> payload,
@@ -770,17 +767,12 @@ class Executor {
     const StageCost cost = send_cost(d, payload, list_size);
     stats_.device_comm_time[d] += cost.total();
     const sim::SimTime sent = advance_pipeline(cost, clock, engine);
-    const Delivery del =
-        deliver_link(d, o, payload.bytes, sent, D::kKind, round);
-    if (del.arrival == sim::SimTime::max()) return std::nullopt;
-    if (del.corrupt) comm::corrupt_payload(payload, del.corrupt_h);
     Msg<typename D::T> msg;
-    msg.net_ref = trace_send<D>(d, o, cost, s0, sent, del.arrival,
-                                payload.bytes);
     msg.payload = std::move(payload);
-    msg.arrival = del.arrival;
-    msg.duplicated = del.duplicate;
-    msg.dup_arrival = del.dup_arrival;
+    deliver_link(d, o, msg, sent, D::kKind, round);
+    if (msg.arrival == sim::SimTime::max()) return std::nullopt;
+    msg.net_ref = trace_send<D>(d, o, cost, s0, sent, msg.arrival,
+                                msg.payload.bytes);
     return msg;
   }
 
@@ -1060,53 +1052,34 @@ class Executor {
   // straggler decoupling and redundant work emerge from the schedule.
   // =========================================================================
   void run_basp() {
-    sim::EventQueue queue;
     inboxes_.assign(devices_, BaspInbox{});
     if (injector_.active()) {
       // Under faults the omniscient-oracle shortcut is not trusted:
       // run the real Safra detector alongside and audit it at the end.
       td_ = std::make_unique<TerminationDetector>(devices_);
-      // A crash re-inits the device; it and every parked peer holding
-      // re-feed marks wake (running peers pick the marks up in their
-      // next round).
       for (const auto& c : injector_.crashes()) {
-        queue.schedule(c.at, [this, cd = c.device, &queue](sim::SimTime t) {
-          Dev& dev = devs_[cd];
-          dev.clock = sim::max(dev.clock, t) + res_.recover(t, {cd});
-          for (int o = 0; o < devices_; ++o) {
-            if (o == cd || devs_[o].flush_pending) {
-              wake(o, o == cd ? dev.clock : t, queue);
-            }
-          }
-        });
+        queue_.schedule(c.at, {BaspEvent::kCrash, c.device});
       }
     }
     // BASP has no barrier to piggyback detection on, so the heartbeat
-    // monitor is polled until every doomed device is evicted (realigning
-    // after each eviction).
+    // monitor is polled until every doomed device is evicted.
     if (const sim::SimTime at = res_.first_loss_poll();
         at != sim::SimTime::max()) {
-      poll_stream(at, queue, [this, &queue](sim::SimTime t) {
-        return res_.poll_losses(t, realigner("wait.evict", queue));
-      });
+      queue_.schedule(at, {BaspEvent::kLossPoll});
     }
-    // The gray monitor is polled at the heartbeat cadence. Mitigation
-    // fires between events — every device's state is consistent at event
-    // boundaries — and the stream stops once the system is quiescent
-    // with no scheduled fault left to revive it (so the queue drains).
     if (res_.polls_gray()) {
-      poll_stream(config_.health.heartbeat_interval, queue,
-                  [this, &queue](sim::SimTime t) {
-                    res_.mitigate(t, realigner("wait.migrate", queue));
-                    return res_.fault_pending(t) || !all_quiescent();
-                  });
+      queue_.schedule(config_.health.heartbeat_interval,
+                      {BaspEvent::kGrayPoll});
     }
-    for (int d = 0; d < devices_; ++d) step_at(d, sim::SimTime::zero(), queue);
+    for (int d = 0; d < devices_; ++d) step_at(d, sim::SimTime::zero());
     std::uint64_t safety = 0;
     const std::uint64_t step_limit =
         static_cast<std::uint64_t>(config_.max_rounds) * devices_ * 4;
     const auto drain = [&] {
-      while (!queue.empty() && safety++ < step_limit) queue.run_next();
+      while (!queue_.empty() && safety++ < step_limit) {
+        const auto [t, ev] = queue_.pop();
+        dispatch(t, ev);
+      }
     };
     drain();
     // Final SDC audit at termination: the drained queue means the
@@ -1114,10 +1087,10 @@ class Executor {
     // sound under BASP. A repair revives work, so drain again and
     // re-certify until the final audit comes back clean.
     // Makespan is the slowest device clock (plus the final audit), NOT
-    // queue.now(): the monitor/gray poll streams keep firing (and
-    // finding nothing) on their own cadence after the last device parks,
-    // and an observation that observes nothing must not stretch the
-    // reported run.
+    // the last event's time: the monitor/gray poll streams keep firing
+    // (and finding nothing) on their own cadence after the last device
+    // parks, and an observation that observes nothing must not stretch
+    // the reported run.
     for (;;) {
       for (int d = 0; d < devices_; ++d) {
         total_time_ = sim::max(total_time_, devs_[d].clock);
@@ -1127,7 +1100,7 @@ class Executor {
         if (res_.dead(d)) continue;
         devs_[d].clock = sim::max(devs_[d].clock, total_time_);
       }
-      revive(queue);
+      revive();
       drain();
     }
     for (int d = 0; d < devices_; ++d) {
@@ -1140,7 +1113,55 @@ class Executor {
     if (td_) fault_global_.termination_clean = settled();
   }
 
-  void basp_step(int d, sim::SimTime now, sim::EventQueue& queue) {
+  /// Runs one BASP event at `t`. Every `schedule` happens in the order
+  /// the event's work produces it, so insertion-order tie-breaking (and
+  /// with it every simulated output) follows the work.
+  void dispatch(sim::SimTime t, BaspEvent ev) {
+    const int d = ev.device;
+    switch (ev.kind) {
+      case BaspEvent::kStep:
+        basp_step(d, t);
+        break;
+      case BaspEvent::kWake:
+        // Runs only if d is parked by then; a running device picks the
+        // work up in its own next step.
+        if (devs_[d].parked) basp_step(d, t);
+        break;
+      case BaspEvent::kCrash: {
+        // A crash re-inits the device; it and every parked peer holding
+        // re-feed marks wake (running peers pick the marks up in their
+        // next round).
+        Dev& dev = devs_[d];
+        dev.clock = sim::max(dev.clock, t) + res_.recover(t, {d});
+        for (int o = 0; o < devices_; ++o) {
+          if (o == d || devs_[o].flush_pending) {
+            wake(o, o == d ? dev.clock : t);
+          }
+        }
+        break;
+      }
+      case BaspEvent::kLossPoll:
+        // Evicts the condemned (realigning after each eviction); polls
+        // again every heartbeat until every doomed device is evicted.
+        if (res_.poll_losses(t, realigner("wait.evict"))) poll_again(t, ev);
+        break;
+      case BaspEvent::kGrayPoll:
+        // Mitigation fires between events — every device's state is
+        // consistent at event boundaries — and the stream stops once the
+        // system is quiescent with no scheduled fault left to revive it
+        // (so the queue drains).
+        res_.mitigate(t, realigner("wait.migrate"));
+        if (res_.fault_pending(t) || !all_quiescent()) poll_again(t, ev);
+        break;
+    }
+  }
+
+  /// Schedules `poll` again one heartbeat interval after `t`.
+  void poll_again(sim::SimTime t, BaspEvent poll) {
+    queue_.schedule(t + config_.health.heartbeat_interval, poll);
+  }
+
+  void basp_step(int d, sim::SimTime now) {
     // A permanently lost device goes silent the instant its loss fires:
     // it neither computes nor sends, and is eventually evicted by the
     // heartbeat monitor.
@@ -1192,7 +1213,7 @@ class Executor {
         dev_scope(d).span(obs::SpanKind::kWait, "wait.throttle", dev.clock,
                           dev.clock + stall, 0, dev.local_round);
         dev.clock += stall;
-        step_at(d, dev.clock, queue);
+        step_at(d, dev.clock);
         return;
       }
       dev.consecutive_stalls = 0;
@@ -1217,7 +1238,7 @@ class Executor {
         if (m_rounds_ != nullptr) m_rounds_->inc();
         basp_trace(dev.local_round, 0, 0, 0);
         dev.clock += poll;
-        step_at(d, dev.clock, queue);
+        step_at(d, dev.clock);
         return;
       }
       if (dev.flush_pending) {
@@ -1226,12 +1247,12 @@ class Executor {
         // recovered peer actually receives the values.
         dev.flush_pending = false;
         if (dev.dirty_r.any() || dev.dirty_b.any()) {
-          basp_send(d, queue);
-          step_at(d, dev.clock, queue);
+          basp_send(d);
+          step_at(d, dev.clock);
           return;
         }
       }
-      park(d, queue);
+      park(d);
       return;
     }
 
@@ -1247,14 +1268,12 @@ class Executor {
     res_.sample_health(dev.clock);
     basp_trace(dev.local_round, dev.ctx->applications(),
                dev.ctx->total_edges(), 0);
-    basp_send(d, queue);
-    step_at(d, dev.clock, queue);
+    basp_send(d);
+    step_at(d, dev.clock);
   }
 
-  void step_at(int d, sim::SimTime at, sim::EventQueue& queue) {
-    queue.schedule(at, [this, d, &queue](sim::SimTime t) {
-      basp_step(d, t, queue);
-    });
+  void step_at(int d, sim::SimTime at) {
+    queue_.schedule(at, {BaspEvent::kStep, d});
   }
 
   /// BASP counterpart of the BSP trace collection: accumulates activity
@@ -1360,18 +1379,18 @@ class Executor {
   /// Sends this round's reduce payloads (mirror updates), then its
   /// broadcast payloads (master updates). BASP ships only non-empty
   /// updates.
-  void basp_send(int d, sim::EventQueue& queue) {
+  void basp_send(int d) {
     const auto sync_scope = prof().scope("sync.extract");
     Dev& dev = devs_[d];
     sim::SimTime engine = dev.clock;  // downlink copy engine (overlap)
-    send_lane<Reduce>(d, engine, queue);
-    send_lane<Broadcast>(d, engine, queue);
+    send_lane<Reduce>(d, engine);
+    send_lane<Broadcast>(d, engine);
     dev.clock = sim::max(dev.clock, engine);
     dev.dirty_b.clear();
   }
 
   template <typename D>
-  void send_lane(int d, sim::SimTime& engine, sim::EventQueue& queue) {
+  void send_lane(int d, sim::SimTime& engine) {
     Dev& dev = devs_[d];
     auto values = D::src(program_, dev.state);
     for (int o = 0; o < devices_; ++o) {
@@ -1380,7 +1399,7 @@ class Executor {
       if (list.size() == 0) continue;
       auto payload = D::extract(list, values, dev, config_.sync_mode, d, o);
       if (payload.empty_update()) continue;
-      deliver<D>(d, o, std::move(payload), engine, queue);
+      deliver<D>(d, o, std::move(payload), engine);
     }
   }
 
@@ -1388,7 +1407,7 @@ class Executor {
   /// receiver's D lane, waking the receiver at each arrival.
   template <typename D>
   void deliver(int d, int o, comm::Payload<typename D::T> payload,
-               sim::SimTime& engine, sim::EventQueue& queue) {
+               sim::SimTime& engine) {
     Dev& dev = devs_[d];
     const std::uint64_t scanned =
         payload.scanned > 0 ? payload.scanned : payload.count();
@@ -1410,19 +1429,17 @@ class Executor {
       ghost.arrival = msg->dup_arrival;
       ghost.dup_ghost = true;
       insert_sorted(arrivals, std::move(ghost));
-      wake(o, msg->dup_arrival, queue);
+      wake(o, msg->dup_arrival);
     }
     const sim::SimTime arrival = msg->arrival;
     insert_sorted(arrivals, std::move(*msg));
-    wake(o, arrival, queue);
+    wake(o, arrival);
   }
 
   /// Schedules a step of device o at `at` that runs only if o is parked
-  /// by then; a running device picks the work up in its own next step.
-  void wake(int o, sim::SimTime at, sim::EventQueue& queue) {
-    queue.schedule(at, [this, o, &queue](sim::SimTime t) {
-      if (devs_[o].parked) basp_step(o, t, queue);
-    });
+  /// by then.
+  void wake(int o, sim::SimTime at) {
+    queue_.schedule(at, {BaspEvent::kWake, o});
   }
 
   template <typename T>
@@ -1433,17 +1450,6 @@ class Executor {
     box.insert(it, std::move(msg));
   }
 
-  /// Runs `poll(t)` at `at` and then every heartbeat interval for as
-  /// long as it returns true.
-  template <typename Poll>
-  void poll_stream(sim::SimTime at, sim::EventQueue& queue, Poll poll) {
-    queue.schedule(at, [this, &queue, poll](sim::SimTime t) {
-      if (poll(t)) {
-        poll_stream(t + config_.health.heartbeat_interval, queue, poll);
-      }
-    });
-  }
-
   /// What a BASP poll does after an action at `t` rebuilt the exchange
   /// lists: every in-flight payload indexes the *old* lists, so the
   /// inboxes are wiped (the post-rebuild re-feed resends everything),
@@ -1451,8 +1457,8 @@ class Executor {
   /// post-action instant (a `span` wait charged to the acted-on device)
   /// where every live device wakes. The poll's later actions still
   /// start at `t`.
-  auto realigner(const char* span, sim::EventQueue& queue) {
-    return [this, span, &queue](sim::SimTime t, sim::SimTime cost, int cause) {
+  auto realigner(const char* span) {
+    return [this, span](sim::SimTime t, sim::SimTime cost, int cause) {
       const sim::SimTime resume = t + cost;
       inboxes_.assign(devices_, BaspInbox{});
       restart_detector(/*all_passive=*/false);
@@ -1465,7 +1471,7 @@ class Executor {
                             static_cast<std::uint64_t>(cause));
           dev.clock = resume;
         }
-        wake(o, resume, queue);
+        wake(o, resume);
       }
       return t;
     };
@@ -1475,13 +1481,13 @@ class Executor {
   /// with no message in flight closes a quiescent cut, the BASP
   /// resilience safe point: master == mirror is only guaranteed once
   /// every send has been applied.
-  void park(int d, sim::EventQueue& queue) {
+  void park(int d) {
     devs_[d].parked = true;
     devs_[d].park_start = devs_[d].clock;
     if (td_) td_->set_active(d, false);
     if (all_quiescent() &&
         res_.quiescent(devs_[d].clock, [this] { return settled(); })) {
-      revive(queue);
+      revive();
     }
   }
 
@@ -1498,12 +1504,12 @@ class Executor {
   /// Wakes every device an SDC repair gave work to and restarts Safra
   /// (a rewind/restart invalidates its message counters), so the event
   /// loop picks the revived computation back up.
-  void revive(sim::EventQueue& queue) {
+  void revive() {
     restart_detector(/*all_passive=*/true);
     for (int o = 0; o < devices_; ++o) {
       if (res_.dead(o)) continue;
       if (!devs_[o].has_work() && !devs_[o].flush_pending) continue;
-      wake(o, devs_[o].clock, queue);
+      wake(o, devs_[o].clock);
     }
   }
 
@@ -1601,6 +1607,7 @@ class Executor {
 
   std::vector<Dev> devs_;
   std::vector<BaspInbox> inboxes_;
+  sim::EventQueue<BaspEvent> queue_;  // BASP only
   std::vector<comm::CommStats> comm_per_dev_;
   std::uint64_t traced_volume_ = 0;
   RunStats stats_;

@@ -2,67 +2,56 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "sim/sim_time.hpp"
 
 namespace sg::sim {
 
-/// Discrete-event scheduler keyed on simulated time.
+/// Discrete-event scheduler keyed on simulated time, over plain event
+/// records `E`: each pending event is (when, seq, E), with no callback.
+/// The caller pops the earliest event and dispatches on its record.
 ///
 /// Ties are broken by insertion sequence number so that simulations are
 /// fully deterministic regardless of heap implementation details. Used by
 /// the BASP executor to interleave per-device local rounds and message
 /// arrivals in simulated-time order.
+template <typename E>
 class EventQueue {
- public:
-  using Callback = std::function<void(SimTime)>;
+  static_assert(std::is_trivially_copyable_v<E>,
+                "EventQueue events are plain records");
 
-  /// Schedules `cb` to fire at absolute simulated time `when`.
-  void schedule(SimTime when, Callback cb) {
-    heap_.push_back(Event{when, next_seq_++, std::move(cb)});
+ public:
+  struct Fired {
+    SimTime when;
+    E event;
+  };
+
+  /// Schedules `e` to fire at absolute simulated time `when`.
+  void schedule(SimTime when, E e) {
+    heap_.push_back(Entry{when, next_seq_++, e});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
-  /// Time of the earliest pending event; only valid when !empty().
-  [[nodiscard]] SimTime next_time() const { return heap_.front().when; }
-
-  /// Pops and runs the earliest event; returns its firing time.
-  SimTime run_next() {
-    // pop_heap moves the earliest event to the back, from which it can
-    // be moved out without const_cast (UBSan-clean, unlike mutating
-    // priority_queue::top()).
+  /// Removes and returns the earliest event; only valid when !empty().
+  Fired pop() {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event ev = std::move(heap_.back());
+    const Entry top = heap_.back();
     heap_.pop_back();
-    now_ = ev.when;
-    ev.cb(ev.when);
-    return ev.when;
+    return {top.when, top.event};
   }
-
-  /// Runs events until the queue drains; returns the last firing time.
-  SimTime run_to_completion() {
-    SimTime last = now_;
-    while (!heap_.empty()) last = run_next();
-    return last;
-  }
-
-  /// Current simulated time (time of the last event run).
-  [[nodiscard]] SimTime now() const { return now_; }
 
  private:
-  struct Event {
+  struct Entry {
     SimTime when;
     std::uint64_t seq;
-    Callback cb;
+    E event;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Entry& a, const Entry& b) const {
       if (a.when != b.when) return b.when < a.when;
       return b.seq < a.seq;  // earlier sequence first on ties
     }
@@ -70,9 +59,8 @@ class EventQueue {
 
   // Min-heap via std::push_heap/std::pop_heap over a plain vector;
   // `Later` orders max-heap-style so front() is the earliest event.
-  std::vector<Event> heap_;
+  std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;
-  SimTime now_ = SimTime::zero();
 };
 
 }  // namespace sg::sim

@@ -134,24 +134,25 @@ TEST_P(Fuzz, GeneratorsProduceValidGraphs) {
 
 TEST_P(Fuzz, EventQueueMatchesReferenceSort) {
   sim::Rng rng{GetParam()};
-  sim::EventQueue q;
+  sim::EventQueue<int> q;
   const int n = 5 + static_cast<int>(rng.bounded(200));
   std::vector<std::pair<double, int>> expected;
-  std::vector<int> fired;
   for (int i = 0; i < n; ++i) {
     const double t = rng.uniform() * 100.0;
     expected.emplace_back(t, i);
-    q.schedule(sim::SimTime{t}, [&fired, i](sim::SimTime) {
-      fired.push_back(i);
-    });
+    q.schedule(sim::SimTime{t}, i);
   }
   std::stable_sort(expected.begin(), expected.end(),
                    [](const auto& a, const auto& b) {
                      return a.first < b.first;
                    });
-  q.run_to_completion();
-  ASSERT_EQ(fired.size(), expected.size());
-  for (int i = 0; i < n; ++i) EXPECT_EQ(fired[i], expected[i].second);
+  for (int i = 0; i < n; ++i) {
+    ASSERT_FALSE(q.empty());
+    const auto [t, e] = q.pop();
+    EXPECT_EQ(e, expected[i].second);
+    EXPECT_EQ(t.seconds(), expected[i].first);
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 TEST_P(Fuzz, DistributedBfsAndCcMatchReferenceOnRandomGraphs) {

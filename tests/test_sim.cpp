@@ -100,44 +100,57 @@ TEST(SimTimeT, ArithmeticAndComparisons) {
 
 // ---- EventQueue --------------------------------------------------------------
 
-TEST(EventQueueT, FiresInTimeOrder) {
-  EventQueue q;
+/// Pops every event of `q` in firing order; `on_fire(t, e)` runs per
+/// event and may schedule more while the queue drains.
+template <typename OnFire>
+std::vector<int> drain(EventQueue<int>& q, OnFire on_fire) {
   std::vector<int> order;
-  q.schedule(SimTime{3.0}, [&](SimTime) { order.push_back(3); });
-  q.schedule(SimTime{1.0}, [&](SimTime) { order.push_back(1); });
-  q.schedule(SimTime{2.0}, [&](SimTime) { order.push_back(2); });
-  q.run_to_completion();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueueT, TiesBreakByScheduleOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.schedule(SimTime{1.0}, [&order, i](SimTime) { order.push_back(i); });
+  while (!q.empty()) {
+    const auto [t, e] = q.pop();
+    order.push_back(e);
+    on_fire(t, e);
   }
-  q.run_to_completion();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+  return order;
+}
+std::vector<int> drain(EventQueue<int>& q) {
+  return drain(q, [](SimTime, int) {});
 }
 
-TEST(EventQueueT, EventsCanScheduleMoreEvents) {
-  EventQueue q;
-  int fired = 0;
-  std::function<void(SimTime)> chain = [&](SimTime t) {
-    ++fired;
-    if (fired < 5) q.schedule(t + SimTime{1.0}, chain);
-  };
-  q.schedule(SimTime{0.0}, chain);
-  const SimTime last = q.run_to_completion();
-  EXPECT_EQ(fired, 5);
-  EXPECT_DOUBLE_EQ(last.seconds(), 4.0);
+TEST(EventQueueT, FiresInTimeOrder) {
+  EventQueue<int> q;
+  q.schedule(SimTime{3.0}, 3);
+  q.schedule(SimTime{1.0}, 1);
+  q.schedule(SimTime{2.0}, 2);
+  std::vector<double> times;
+  const auto order =
+      drain(q, [&](SimTime t, int) { times.push_back(t.seconds()); });
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(times, (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueueT, NowTracksLastFiring) {
-  EventQueue q;
-  q.schedule(SimTime{2.5}, [](SimTime) {});
-  q.run_next();
-  EXPECT_DOUBLE_EQ(q.now().seconds(), 2.5);
+TEST(EventQueueT, TiesBreakByInsertionOrder) {
+  EventQueue<int> q;
+  q.schedule(SimTime{2.0}, -1);
+  for (int i = 0; i < 10; ++i) q.schedule(SimTime{1.0}, i);
+  EXPECT_EQ(drain(q), (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, -1}));
+}
+
+TEST(EventQueueT, EventsScheduledWhileDrainingRun) {
+  // Event e < 5 schedules e + 1 one second later, and event 0 also
+  // schedules a tie with the pending event at 1.0: the pending one was
+  // inserted first, so it fires first.
+  EventQueue<int> q;
+  q.schedule(SimTime{0.0}, 0);
+  q.schedule(SimTime{1.0}, 10);
+  SimTime last;
+  const auto order = drain(q, [&](SimTime t, int e) {
+    last = t;
+    if (e < 5) q.schedule(t + SimTime{1.0}, e + 1);
+    if (e == 0) q.schedule(SimTime{1.0}, 20);
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 10, 1, 20, 2, 3, 4, 5}));
+  EXPECT_DOUBLE_EQ(last.seconds(), 5.0);
 }
 
 // ---- ThreadPool ---------------------------------------------------------------

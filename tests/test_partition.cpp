@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 
 #include "comm/sync_structure.hpp"
 #include "graph/datasets.hpp"
@@ -450,36 +452,55 @@ struct LayoutPin {
   std::uint64_t digest;
 };
 
-// Literal digests of one fixed rmat graph under every policy and three
-// device counts, plus one streamed, one re-homed and one rebalanced
-// layout. Speed work on the partitioner must leave them as-is.
-TEST(PartitionGolden, LayoutsMatchRecordedDigests) {
-  const Csr g = graph::rmat({.scale = 10, .edge_factor = 8, .seed = 5});
-  std::vector<LayoutPin> got;
+struct NamedLayout {
+  std::string name;
+  DistGraph dg;
+};
+
+// One fixed rmat graph under every policy and three device counts, plus
+// one streamed, one re-homed and one rebalanced layout.
+std::vector<NamedLayout> golden_layouts(const Csr& g) {
+  std::vector<NamedLayout> out;
   for (auto p : {Policy::OEC, Policy::IEC, Policy::HVC, Policy::CVC,
                  Policy::RANDOM, Policy::GREEDY}) {
     for (int d : {1, 4, 16}) {
-      got.push_back({std::string(to_string(p)) + "_d" + std::to_string(d),
-                     layout_digest(partition_graph(
-                         g, {.policy = p, .num_devices = d}))});
+      out.push_back({std::string(to_string(p)) + "_d" + std::to_string(d),
+                     partition_graph(g, {.policy = p, .num_devices = d})});
     }
   }
-  {
-    CsrEdgeSource src(g);
-    got.push_back({"stream_HVC_d4",
-                   layout_digest(partition_stream(
-                       src, {.policy = Policy::HVC, .num_devices = 4}))});
-  }
+  CsrEdgeSource src(g);
+  out.push_back({"stream_HVC_d4",
+                 partition_stream(
+                     src, {.policy = Policy::HVC, .num_devices = 4})});
   const DistGraph oec =
       partition_graph(g, {.policy = Policy::OEC, .num_devices = 4});
-  got.push_back({"rehome_OEC_d4_lost1",
-                 layout_digest(
-                     rehome_partition(oec, 1, oec.part(1), {}, {}).dg)});
+  out.push_back({"rehome_OEC_d4_lost1",
+                 rehome_partition(oec, 1, oec.part(1), {}, {}).dg});
   const DistGraph cvc =
       partition_graph(g, {.policy = Policy::CVC, .num_devices = 4});
-  got.push_back({"rebalance_CVC_d4_hot0",
-                 layout_digest(rebalance_partition(cvc, 0, 0.25, {}, {}).dg)});
+  out.push_back({"rebalance_CVC_d4_hot0",
+                 rebalance_partition(cvc, 0, 0.25, {}, {}).dg});
+  return out;
+}
 
+void expect_pins(const std::vector<LayoutPin>& got,
+                 std::span<const LayoutPin> pins) {
+  ASSERT_EQ(got.size(), pins.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].name, pins[i].name);
+    EXPECT_EQ(got[i].digest, pins[i].digest)
+        << got[i].name << ": got 0x" << std::hex << got[i].digest;
+  }
+}
+
+// Literal digests of the golden layouts. Speed work on the partitioner
+// must leave them as-is.
+TEST(PartitionGolden, LayoutsMatchRecordedDigests) {
+  const Csr g = graph::rmat({.scale = 10, .edge_factor = 8, .seed = 5});
+  std::vector<LayoutPin> got;
+  for (const NamedLayout& l : golden_layouts(g)) {
+    got.push_back({l.name, layout_digest(l.dg)});
+  }
   const LayoutPin pins[] = {
       {"OEC_d1", 0xbd66fc39c6a624c2ULL},
       {"OEC_d4", 0xdc2c59326847f46cULL},
@@ -503,12 +524,116 @@ TEST(PartitionGolden, LayoutsMatchRecordedDigests) {
       {"rehome_OEC_d4_lost1", 0xde1fd102833d0fe2ULL},
       {"rebalance_CVC_d4_hot0", 0xd909b30294ea4ab0ULL},
   };
-  ASSERT_EQ(got.size(), std::size(pins));
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].name, pins[i].name);
-    EXPECT_EQ(got[i].digest, pins[i].digest)
-        << got[i].name << ": got 0x" << std::hex << got[i].digest;
+  expect_pins(got, pins);
+}
+
+// FNV-1a over what layout_digest leaves out: the master directory, the
+// whole-graph degrees each part carries, the CVC grid, the partition
+// statistics (doubles by bit pattern) and the global counts.
+std::uint64_t directory_digest(const DistGraph& dg) {
+  std::uint64_t h = util::kFnv1aOffset;
+  const auto fold = [&h](const auto& v) {
+    h = util::fnv1a64_value(static_cast<std::uint64_t>(v.size()), h);
+    h = util::fnv1a64(v.data(), v.size() * sizeof(v[0]), h);
+  };
+  fold(dg.master_directory());
+  for (const LocalGraph& lg : dg.parts()) {
+    fold(lg.global_out_degree);
+    fold(lg.global_in_degree);
   }
+  const PartitionStats& st = dg.stats();
+  for (const std::uint64_t v :
+       {std::uint64_t{dg.global_vertices()}, std::uint64_t{dg.global_edges()},
+        std::uint64_t{dg.weighted()},
+        static_cast<std::uint64_t>(dg.grid().rows()),
+        static_cast<std::uint64_t>(dg.grid().cols()),
+        std::bit_cast<std::uint64_t>(st.replication_factor),
+        std::bit_cast<std::uint64_t>(st.static_balance),
+        std::bit_cast<std::uint64_t>(st.memory_balance), st.max_bytes,
+        st.total_bytes}) {
+    h = util::fnv1a64_value(v, h);
+  }
+  fold(st.edges_per_device);
+  fold(st.bytes_per_device);
+  return h;
+}
+
+// One digest over a re-homer's whole output: the layout, its directory,
+// the re-homed ids and the migration volume.
+std::uint64_t rehome_digest(const DistGraph& dg,
+                            const std::vector<VertexId>& ids, EdgeId edges,
+                            std::uint64_t bytes) {
+  std::uint64_t h = util::fnv1a64_value(layout_digest(dg));
+  h = util::fnv1a64_value(directory_digest(dg), h);
+  h = util::fnv1a64(ids.data(), ids.size() * sizeof(ids[0]), h);
+  h = util::fnv1a64_value(edges, h);
+  return util::fnv1a64_value(bytes, h);
+}
+
+// The second pin table: directory_digest of every golden layout, plus
+// two re-homes under capacity pressure. The first loses device 1 after
+// device 3 is already gone, with headroom so tight that the orphans
+// spread over both survivors; the second rebalances device 0 while
+// device 1, the lowest proxy holder of the moved masters, has too little
+// room for them.
+TEST(PartitionGolden, DirectoriesAndTightRehomesMatchRecordedDigests) {
+  const Csr g = graph::rmat({.scale = 10, .edge_factor = 8, .seed = 5});
+  std::vector<LayoutPin> got;
+  for (const NamedLayout& l : golden_layouts(g)) {
+    got.push_back({l.name, directory_digest(l.dg)});
+  }
+  {
+    const DistGraph oec =
+        partition_graph(g, {.policy = Policy::OEC, .num_devices = 4});
+    const DistGraph after3 = rehome_partition(oec, 3, oec.part(3), {}, {}).dg;
+    const std::uint64_t free_bytes[] = {14000, 1ULL << 40, 5000,
+                                        1ULL << 40};
+    const std::uint8_t dead[] = {0, 0, 0, 1};
+    const RehomeResult r =
+        rehome_partition(after3, 1, after3.part(1), free_bytes, dead);
+    std::vector<VertexId> ids = r.rehomed;
+    ids.insert(ids.end(), r.orphaned.begin(), r.orphaned.end());
+    got.push_back({"rehome_tight_OEC_d4_dead3_lost1",
+                   rehome_digest(r.dg, ids, r.migrated_edges,
+                                 r.migrated_bytes)});
+  }
+  {
+    const DistGraph cvc =
+        partition_graph(g, {.policy = Policy::CVC, .num_devices = 4});
+    const std::uint64_t free_bytes[] = {1ULL << 40, 1500, 3000,
+                                        6000};
+    const RebalanceResult r =
+        rebalance_partition(cvc, 0, 0.25, free_bytes, {});
+    got.push_back({"rebalance_tight_CVC_d4_hot0",
+                   rehome_digest(r.dg, r.moved, r.migrated_edges,
+                                 r.migrated_bytes)});
+  }
+  const LayoutPin pins[] = {
+      {"OEC_d1", 0x326d7bc612993271ULL},
+      {"OEC_d4", 0xe2efedc95e2ad6f4ULL},
+      {"OEC_d16", 0xe5ae00b898e16426ULL},
+      {"IEC_d1", 0x326d7bc612993271ULL},
+      {"IEC_d4", 0x1e389491b67e19aeULL},
+      {"IEC_d16", 0x37a69fbf7fa7bf3cULL},
+      {"HVC_d1", 0x326d7bc612993271ULL},
+      {"HVC_d4", 0x27d470ed2376f0c7ULL},
+      {"HVC_d16", 0xce2601d3634cb7b7ULL},
+      {"CVC_d1", 0x75ff5228bf0ce3d1ULL},
+      {"CVC_d4", 0xa26b6a67eafc1053ULL},
+      {"CVC_d16", 0xc6469bbd7c785163ULL},
+      {"RANDOM_d1", 0x326d7bc612993271ULL},
+      {"RANDOM_d4", 0xd6412c081f23b61eULL},
+      {"RANDOM_d16", 0xe87f94000fb0d40ULL},
+      {"GREEDY_d1", 0x326d7bc612993271ULL},
+      {"GREEDY_d4", 0x8735ba39eea59577ULL},
+      {"GREEDY_d16", 0xe20b248d7ab15babULL},
+      {"stream_HVC_d4", 0x27d470ed2376f0c7ULL},
+      {"rehome_OEC_d4_lost1", 0xd2ff6c862fc25e83ULL},
+      {"rebalance_CVC_d4_hot0", 0x814e4806242be7c6ULL},
+      {"rehome_tight_OEC_d4_dead3_lost1", 0xb713564937bb25c5ULL},
+      {"rebalance_tight_CVC_d4_hot0", 0x3cac1bf8f52df05ULL},
+  };
+  expect_pins(got, pins);
 }
 
 // ---- partition store (paper footnote: partition once, load directly) ------

@@ -53,7 +53,6 @@ struct Payload {
   std::vector<std::uint32_t> positions;
   std::vector<T> values;
   std::uint64_t bytes = 0;    ///< modeled wire size
-  std::uint64_t scanned = 0;  ///< entries inspected (UO extraction cost)
   /// Versioned wire header (seq / epoch / checksum), stamped by the
   /// executor when EngineConfig::wire_protocol is on. Modeled within
   /// the 16 header bytes `wire_bytes()` already charges.
@@ -96,7 +95,6 @@ struct FieldSync {
         dirty.reset(v);
       }
     } else {
-      p.scanned = n;
       for (std::uint32_t i = 0; i < n; ++i) {
         const graph::VertexId v = list.mirror_local[i];
         if (dirty.test(v)) {
@@ -149,7 +147,6 @@ struct FieldSync {
         p.values.push_back(values[list.master_local[i]]);
       }
     } else {
-      p.scanned = n;
       for (std::uint32_t i = 0; i < n; ++i) {
         if (dirty.test(list.master_local[i])) {
           p.positions.push_back(i);

@@ -35,8 +35,6 @@ struct EngineConfig {
   /// a device may run at most this many local rounds ahead of the
   /// slowest partner it has heard from. 0 means unthrottled.
   std::uint32_t async_lead_cap = 0;
-  /// Safety valve for non-converging configurations.
-  std::uint32_t max_rounds = 1'000'000;
   /// Fixed round budget (used for Lux pagerank, which has no
   /// convergence check); 0 means run to convergence.
   std::uint32_t fixed_rounds = 0;

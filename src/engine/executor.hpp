@@ -759,12 +759,12 @@ class Executor {
   /// so the parallel BSP phases never race.
   template <typename D>
   std::optional<Msg<typename D::T>> send_payload(
-      int d, int o, comm::Payload<typename D::T> payload,
-      std::uint64_t list_size, std::uint64_t round, sim::SimTime& clock,
-      sim::SimTime& engine) {
+      int d, int o, comm::Payload<typename D::T> payload, std::uint64_t round,
+      sim::SimTime& clock, sim::SimTime& engine) {
     seal_payload(payload, d, o, D::kKind, round);
     const sim::SimTime s0 = clock;
-    const StageCost cost = send_cost(d, payload, list_size);
+    const StageCost cost =
+        send_cost(d, payload, D::list(*this, d, o).size());
     stats_.device_comm_time[d] += cost.total();
     const sim::SimTime sent = advance_pipeline(cost, clock, engine);
     Msg<typename D::T> msg;
@@ -793,6 +793,10 @@ class Executor {
     dev.merge_activations();
   }
 
+  /// Safety valve for non-converging configurations: no run goes past
+  /// this many global (BSP) or local (BASP) rounds.
+  static constexpr std::uint32_t kMaxRounds = 1'000'000;
+
   // =========================================================================
   // BSP: global rounds with a barrier (Section III-B).
   // =========================================================================
@@ -800,7 +804,7 @@ class Executor {
     sim::SimTime barrier;  // all devices aligned at round start
 
     const std::uint32_t round_limit =
-        config_.fixed_rounds > 0 ? config_.fixed_rounds : config_.max_rounds;
+        config_.fixed_rounds > 0 ? config_.fixed_rounds : kMaxRounds;
 
     for (std::uint32_t round = 0; round < round_limit; ++round) {
       // Silence is sampled once per round, at its start.
@@ -970,7 +974,7 @@ class Executor {
       // Empty UO updates are piggybacked on round-control traffic in
       // Gluon; they carry no modeled cost. AS always ships full lists.
       if (payload.empty_update()) continue;
-      auto msg = send_payload<D>(d, o, std::move(payload), list.size(),
+      auto msg = send_payload<D>(d, o, std::move(payload),
                                  stats_.global_rounds, ready, engine);
       if (msg) {
         out[static_cast<std::size_t>(d) * devices_ + o] = std::move(*msg);
@@ -1073,8 +1077,7 @@ class Executor {
     }
     for (int d = 0; d < devices_; ++d) step_at(d, sim::SimTime::zero());
     std::uint64_t safety = 0;
-    const std::uint64_t step_limit =
-        static_cast<std::uint64_t>(config_.max_rounds) * devices_ * 4;
+    const std::uint64_t step_limit = std::uint64_t{kMaxRounds} * devices_ * 4;
     const auto drain = [&] {
       while (!queue_.empty() && safety++ < step_limit) {
         const auto [t, ev] = queue_.pop();
@@ -1219,8 +1222,8 @@ class Executor {
       dev.consecutive_stalls = 0;
     }
 
-    if (!dev.has_work() || dev.local_round >= config_.max_rounds) {
-      if (config_.async_busy_poll && dev.local_round < config_.max_rounds &&
+    if (!dev.has_work() || dev.local_round >= kMaxRounds) {
+      if (config_.async_busy_poll && dev.local_round < kMaxRounds &&
           system_still_active(d)) {
         // Gluon-Async style idle churn: an empty local round still costs
         // a worklist-check kernel and a bitvector scan, and counts as a
@@ -1409,10 +1412,8 @@ class Executor {
   void deliver(int d, int o, comm::Payload<typename D::T> payload,
                sim::SimTime& engine) {
     Dev& dev = devs_[d];
-    const std::uint64_t scanned =
-        payload.scanned > 0 ? payload.scanned : payload.count();
-    auto msg = send_payload<D>(d, o, std::move(payload), scanned,
-                               dev.local_round, dev.clock, engine);
+    auto msg = send_payload<D>(d, o, std::move(payload), dev.local_round,
+                               dev.clock, engine);
     // Fenced at the NIC (partition outlasting detection): never
     // delivered, so Safra must not count a send for it.
     if (!msg) return;

@@ -45,6 +45,43 @@ double ramp_scale(const FaultEvent& e, sim::SimTime at) {
   return std::clamp(scale, 0.0, 1.0);
 }
 
+constexpr auto kAnyEvent = [](const FaultEvent&) { return true; };
+
+auto on_device(int device) {
+  return [device](const FaultEvent& e) { return e.device == device; };
+}
+
+/// Link events touching the (src_host, dst_host) hop: one end is the
+/// event's host and the peer, when set, is the other.
+auto on_hop(int src_host, int dst_host) {
+  return [=](const FaultEvent& e) {
+    return (e.host == src_host || e.host == dst_host) &&
+           (e.peer_host < 0 || e.peer_host == src_host ||
+            e.peer_host == dst_host);
+  };
+}
+
+std::uint64_t endpoint_key(int from, int to) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
+         static_cast<std::uint32_t>(to);
+}
+
+std::uint64_t attempt_tag(std::uint64_t round, int attempt, MsgKind kind) {
+  return (round << 8) | (static_cast<std::uint64_t>(attempt) << 1) |
+         static_cast<std::uint64_t>(kind);
+}
+
+// Distinct salts per anomaly so drop/corrupt/duplicate/reorder decisions
+// on the same message are independent of each other. The drop salt keeps
+// its original value so recorded drop streams stay byte-identical.
+constexpr std::uint64_t kDropSalt = 0x5347464c54ULL;
+constexpr std::uint64_t kCorruptSalt = 0x53474352505455ULL;
+constexpr std::uint64_t kDuplicateSalt = 0x53474455504cULL;
+constexpr std::uint64_t kReorderSalt = 0x534752454f52ULL;
+// Kernel-SDC per-round roll ("SGSDCK"): new salt so SDC decisions never
+// perturb the byte-identical drop/corrupt/dup/reorder streams above.
+constexpr std::uint64_t kKernelSdcSalt = 0x53475344434bULL;
+
 }  // namespace
 
 FaultInjector::FaultInjector(const FaultPlan* plan, const sim::Topology* topo)
@@ -153,145 +190,70 @@ FaultInjector::FaultInjector(const FaultPlan* plan, const sim::Topology* topo)
             });
 }
 
+template <typename Hits>
+double FaultInjector::peak(FaultKind kind, sim::SimTime at, double floor,
+                           bool ramped, Hits hits,
+                           double FaultEvent::*field) const {
+  double best = floor;
+  for (const FaultEvent& e : plan_->events) {
+    if (e.kind != kind || !in_window(e, at) || !hits(e)) continue;
+    const double v =
+        ramped ? floor + (e.*field - floor) * ramp_scale(e, at) : e.*field;
+    if (v > best) best = v;
+  }
+  return best;
+}
+
 double FaultInjector::link_delay_factor(int src_host, int dst_host,
                                         sim::SimTime at) const {
   if (!active_ || src_host == dst_host) return 1.0;
-  double factor = 1.0;
-  for (const FaultEvent& e : plan_->events) {
-    if (e.kind != FaultKind::kLinkDegrade || !in_window(e, at)) continue;
-    const bool touches =
-        (e.host == src_host || e.host == dst_host) &&
-        (e.peer_host < 0 || e.peer_host == src_host ||
-         e.peer_host == dst_host);
-    if (!touches) continue;
-    const double f = 1.0 + (e.severity - 1.0) * ramp_scale(e, at);
-    if (f > factor) factor = f;
-  }
-  return factor;
+  return peak(FaultKind::kLinkDegrade, at, 1.0, true,
+              on_hop(src_host, dst_host));
 }
 
 double FaultInjector::link_latency_factor(int src_host, int dst_host,
                                           sim::SimTime at) const {
   if (!active_ || src_host == dst_host) return 1.0;
-  double factor = 1.0;
-  for (const FaultEvent& e : plan_->events) {
-    if (e.kind != FaultKind::kLinkDegrade || e.latency_factor <= 1.0 ||
-        !in_window(e, at)) {
-      continue;
-    }
-    const bool touches =
-        (e.host == src_host || e.host == dst_host) &&
-        (e.peer_host < 0 || e.peer_host == src_host ||
-         e.peer_host == dst_host);
-    if (!touches) continue;
-    const double f = 1.0 + (e.latency_factor - 1.0) * ramp_scale(e, at);
-    if (f > factor) factor = f;
-  }
-  return factor;
+  return peak(FaultKind::kLinkDegrade, at, 1.0, true,
+              on_hop(src_host, dst_host), &FaultEvent::latency_factor);
 }
 
 double FaultInjector::compute_slowdown(int device, sim::SimTime at) const {
   if (!active_) return 1.0;
-  double factor = 1.0;
-  for (const FaultEvent& e : plan_->events) {
-    if (e.device != device || !in_window(e, at)) continue;
-    if (e.kind == FaultKind::kStraggler) {
-      if (e.severity > factor) factor = e.severity;
-    } else if (e.kind == FaultKind::kDeviceDegrade) {
-      const double f = 1.0 + (e.severity - 1.0) * ramp_scale(e, at);
-      if (f > factor) factor = f;
-    }
-  }
-  return factor;
+  return std::max(
+      peak(FaultKind::kStraggler, at, 1.0, false, on_device(device)),
+      degrade_slowdown(device, at));
 }
 
 double FaultInjector::degrade_slowdown(int device, sim::SimTime at) const {
   if (!active_) return 1.0;
-  double factor = 1.0;
-  for (const FaultEvent& e : plan_->events) {
-    if (e.kind != FaultKind::kDeviceDegrade || e.device != device ||
-        !in_window(e, at)) {
-      continue;
-    }
-    const double f = 1.0 + (e.severity - 1.0) * ramp_scale(e, at);
-    if (f > factor) factor = f;
-  }
-  return factor;
+  return peak(FaultKind::kDeviceDegrade, at, 1.0, true, on_device(device));
 }
 
 double FaultInjector::memory_pressure(int device, sim::SimTime at) const {
   if (!active_) return 0.0;
-  double frac = 0.0;
-  for (const FaultEvent& e : plan_->events) {
-    if (e.kind != FaultKind::kMemoryPressure || e.device != device ||
-        !in_window(e, at)) {
-      continue;
-    }
-    const double f = e.severity * ramp_scale(e, at);
-    if (f > frac) frac = f;
-  }
-  return std::min(frac, 1.0);
+  return std::min(
+      peak(FaultKind::kMemoryPressure, at, 0.0, true, on_device(device)),
+      1.0);
 }
 
 bool FaultInjector::drops_message(int from, int to, MsgKind kind,
                                   std::uint64_t round, int attempt,
                                   sim::SimTime at) const {
   if (!active_) return false;
-  double prob = 0.0;
-  for (const FaultEvent& e : plan_->events) {
-    if (e.kind != FaultKind::kMessageDrop || !in_window(e, at)) continue;
-    if (e.severity > prob) prob = e.severity;
-  }
+  const double prob = peak(FaultKind::kMessageDrop, at, 0.0, false, kAnyEvent);
   if (prob <= 0.0) return false;
   // Key the decision on everything that identifies the attempt so each
   // retransmission re-rolls independently but deterministically.
-  const std::uint64_t endpoints =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
-      static_cast<std::uint32_t>(to);
-  const std::uint64_t tag =
-      (round << 8) | (static_cast<std::uint64_t>(attempt) << 1) |
-      static_cast<std::uint64_t>(kind);
-  return hash_uniform(plan_->seed, endpoints, tag, 0x5347464c54ULL) < prob;
+  return hash_uniform(plan_->seed, endpoint_key(from, to),
+                      attempt_tag(round, attempt, kind), kDropSalt) < prob;
 }
-
-double FaultInjector::anomaly_prob(FaultKind kind, sim::SimTime at) const {
-  double prob = 0.0;
-  for (const FaultEvent& e : plan_->events) {
-    if (e.kind != kind || !in_window(e, at)) continue;
-    if (e.severity > prob) prob = e.severity;
-  }
-  return prob;
-}
-
-namespace {
-
-std::uint64_t endpoint_key(int from, int to) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
-         static_cast<std::uint32_t>(to);
-}
-
-std::uint64_t attempt_tag(std::uint64_t round, int attempt, MsgKind kind) {
-  return (round << 8) | (static_cast<std::uint64_t>(attempt) << 1) |
-         static_cast<std::uint64_t>(kind);
-}
-
-// Distinct salts per anomaly so corrupt/duplicate/reorder decisions on
-// the same message are independent of each other and of the drop roll
-// (salt 0x5347464c54, which must stay byte-identical across PRs).
-constexpr std::uint64_t kCorruptSalt = 0x53474352505455ULL;
-constexpr std::uint64_t kDuplicateSalt = 0x53474455504cULL;
-constexpr std::uint64_t kReorderSalt = 0x534752454f52ULL;
-// Kernel-SDC per-round roll ("SGSDCK"): new salt so SDC decisions never
-// perturb the byte-identical drop/corrupt/dup/reorder streams above.
-constexpr std::uint64_t kKernelSdcSalt = 0x53475344434bULL;
-
-}  // namespace
 
 bool FaultInjector::corrupts_message(int from, int to, MsgKind kind,
                                      std::uint64_t round, int attempt,
                                      sim::SimTime at) const {
   if (!active_) return false;
-  const double prob = anomaly_prob(FaultKind::kMsgCorrupt, at);
+  const double prob = peak(FaultKind::kMsgCorrupt, at, 0.0, false, kAnyEvent);
   if (prob <= 0.0) return false;
   return hash_uniform(plan_->seed, endpoint_key(from, to),
                       attempt_tag(round, attempt, kind), kCorruptSalt) < prob;
@@ -301,7 +263,7 @@ bool FaultInjector::duplicates_message(int from, int to, MsgKind kind,
                                        std::uint64_t round,
                                        sim::SimTime at) const {
   if (!active_) return false;
-  const double prob = anomaly_prob(FaultKind::kMsgDuplicate, at);
+  const double prob = peak(FaultKind::kMsgDuplicate, at, 0.0, false, kAnyEvent);
   if (prob <= 0.0) return false;
   return hash_uniform(plan_->seed, endpoint_key(from, to),
                       attempt_tag(round, 0, kind), kDuplicateSalt) < prob;
@@ -311,7 +273,7 @@ bool FaultInjector::reorders_message(int from, int to, MsgKind kind,
                                      std::uint64_t round,
                                      sim::SimTime at) const {
   if (!active_) return false;
-  const double prob = anomaly_prob(FaultKind::kMsgReorder, at);
+  const double prob = peak(FaultKind::kMsgReorder, at, 0.0, false, kAnyEvent);
   if (prob <= 0.0) return false;
   return hash_uniform(plan_->seed, endpoint_key(from, to),
                       attempt_tag(round, 0, kind), kReorderSalt) < prob;
@@ -328,14 +290,8 @@ double FaultInjector::anomaly_uniform(std::uint64_t salt, int from, int to,
 std::uint64_t FaultInjector::kernel_sdc_roll(int device, std::uint64_t round,
                                              sim::SimTime at) const {
   if (!active_ || !has_sdc_) return 0;
-  double prob = 0.0;
-  for (const FaultEvent& e : plan_->events) {
-    if (e.kind != FaultKind::kKernelSdc || e.device != device ||
-        !in_window(e, at)) {
-      continue;
-    }
-    if (e.severity > prob) prob = e.severity;
-  }
+  const double prob =
+      peak(FaultKind::kKernelSdc, at, 0.0, false, on_device(device));
   if (prob <= 0.0) return 0;
   const auto dev = static_cast<std::uint64_t>(static_cast<std::uint32_t>(device));
   if (hash_uniform(plan_->seed, dev, round, kKernelSdcSalt) >= prob) return 0;

@@ -198,8 +198,15 @@ class FaultInjector {
     return e.duration <= sim::SimTime::zero() || at < e.at + e.duration;
   }
 
-  /// Max probability over `kind` windows covering `at`, or 0.
-  [[nodiscard]] double anomaly_prob(FaultKind kind, sim::SimTime at) const;
+  /// The windowed query behind every rate and factor: the largest value
+  /// over the plan's `kind` events that cover `at` and that `hits`
+  /// accepts, starting from `floor`. An event's value is its `field`;
+  /// when `ramped`, it moves from `floor` toward that by the event's
+  /// onset/recovery ramp weight.
+  template <typename Hits>
+  [[nodiscard]] double peak(
+      FaultKind kind, sim::SimTime at, double floor, bool ramped, Hits hits,
+      double FaultEvent::*field = &FaultEvent::severity) const;
 
   const FaultPlan* plan_ = nullptr;
   const sim::Topology* topo_ = nullptr;

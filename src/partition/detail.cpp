@@ -6,12 +6,14 @@
 #include <stdexcept>
 
 #include "sim/rng.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace sg::partition::detail {
 
 using graph::EdgeId;
 using graph::VertexId;
-using graph::Weight;
+
+namespace {
 
 std::uint64_t mix_hash(std::uint64_t x) {
   x ^= x >> 33;
@@ -22,6 +24,9 @@ std::uint64_t mix_hash(std::uint64_t x) {
   return x;
 }
 
+/// Splits [0, n) into `parts` contiguous ranges with roughly equal total
+/// `weight` (+1 per index so empty-weight prefixes still split);
+/// returns the owner of each index.
 std::vector<int> balanced_ranges(std::span<const EdgeId> weight,
                                  int parts) {
   const std::size_t n = weight.size();
@@ -39,67 +44,8 @@ std::vector<int> balanced_ranges(std::span<const EdgeId> weight,
   return owner;
 }
 
-std::vector<int> assign_masters_streamable(Policy policy,
-                                           std::span<const EdgeId> out_deg,
-                                           std::span<const EdgeId> in_deg,
-                                           int devices, std::uint64_t seed) {
-  const auto n = static_cast<VertexId>(out_deg.size());
-  switch (policy) {
-    case Policy::OEC:
-    case Policy::CVC:
-      // Rows of the adjacency matrix (out-edges), blocked (Figure 2).
-      return balanced_ranges(out_deg, devices);
-    case Policy::IEC:
-      return balanced_ranges(in_deg, devices);
-    case Policy::HVC: {
-      std::vector<int> owner(n);
-      for (VertexId v = 0; v < n; ++v) {
-        owner[v] = static_cast<int>(mix_hash(v ^ seed) %
-                                    static_cast<std::uint64_t>(devices));
-      }
-      return owner;
-    }
-    case Policy::RANDOM: {
-      sim::Rng rng{seed};
-      std::vector<int> owner(n);
-      for (VertexId v = 0; v < n; ++v) {
-        owner[v] = static_cast<int>(rng.bounded(devices));
-      }
-      return owner;
-    }
-    case Policy::GREEDY:
-      throw std::invalid_argument(
-          "GREEDY is not streamable (needs graph random access)");
-  }
-  throw std::invalid_argument("unknown policy");
-}
-
-int edge_owner(Policy policy, VertexId u, VertexId v,
-               const std::vector<int>& master_of,
-               std::span<const EdgeId> in_deg, EdgeId hvc_threshold,
-               const CvcGrid& grid) {
-  switch (policy) {
-    case Policy::OEC:
-    case Policy::RANDOM:
-    case Policy::GREEDY:
-      return master_of[u];
-    case Policy::IEC:
-      return master_of[v];
-    case Policy::HVC:
-      // PowerLyra hybrid: low-in-degree destinations edge-cut at the
-      // destination; high-in-degree destinations scatter by source.
-      return in_deg[v] > hvc_threshold ? master_of[u] : master_of[v];
-    case Policy::CVC:
-      return grid.edge_owner(master_of[u], master_of[v]);
-  }
-  return 0;
-}
-
-EdgeId hvc_threshold_for(double factor, EdgeId edges, VertexId vertices) {
-  return static_cast<EdgeId>(factor * (static_cast<double>(edges) /
-                                       static_cast<double>(vertices)));
-}
-
+/// Builds one device's LocalGraph from its assigned edges and owned
+/// masters (masters in global-id order; mirrors appended sorted).
 LocalGraph build_local_graph(int device,
                              const std::vector<VertexId>& masters,
                              const std::vector<RawEdge>& edges,
@@ -187,6 +133,7 @@ LocalGraph build_local_graph(int device,
   return lg;
 }
 
+/// Partition-quality statistics over finished parts.
 PartitionStats compute_stats(const std::vector<LocalGraph>& parts,
                              VertexId global_vertices,
                              EdgeId global_edges) {
@@ -216,6 +163,90 @@ PartitionStats compute_stats(const std::vector<LocalGraph>& parts,
   st.memory_balance =
       mean_bytes > 0 ? static_cast<double>(st.max_bytes) / mean_bytes : 1.0;
   return st;
+}
+
+}  // namespace
+
+std::vector<int> assign_masters_streamable(Policy policy,
+                                           std::span<const EdgeId> out_deg,
+                                           std::span<const EdgeId> in_deg,
+                                           int devices, std::uint64_t seed) {
+  const auto n = static_cast<VertexId>(out_deg.size());
+  switch (policy) {
+    case Policy::OEC:
+    case Policy::CVC:
+      // Rows of the adjacency matrix (out-edges), blocked (Figure 2).
+      return balanced_ranges(out_deg, devices);
+    case Policy::IEC:
+      return balanced_ranges(in_deg, devices);
+    case Policy::HVC: {
+      std::vector<int> owner(n);
+      for (VertexId v = 0; v < n; ++v) {
+        owner[v] = static_cast<int>(mix_hash(v ^ seed) %
+                                    static_cast<std::uint64_t>(devices));
+      }
+      return owner;
+    }
+    case Policy::RANDOM: {
+      sim::Rng rng{seed};
+      std::vector<int> owner(n);
+      for (VertexId v = 0; v < n; ++v) {
+        owner[v] = static_cast<int>(rng.bounded(devices));
+      }
+      return owner;
+    }
+    case Policy::GREEDY:
+      throw std::invalid_argument(
+          "GREEDY is not streamable (needs graph random access)");
+  }
+  throw std::invalid_argument("unknown policy");
+}
+
+EdgeRouter::EdgeRouter(const PartitionOptions& options,
+                       std::span<const int> master_of,
+                       std::span<const EdgeId> in_deg, EdgeId edges)
+    : policy_(options.policy), master_of_(master_of), in_deg_(in_deg) {
+  if (policy_ == Policy::HVC) {
+    hvc_threshold_ = static_cast<EdgeId>(
+        options.hvc_threshold_factor *
+        (static_cast<double>(edges) / static_cast<double>(master_of.size())));
+  }
+  if (policy_ == Policy::CVC) {
+    grid_ = (options.grid_rows > 0 && options.grid_cols > 0)
+                ? CvcGrid{options.grid_rows, options.grid_cols}
+                : CvcGrid::auto_shape(options.num_devices);
+    if (grid_.devices() != options.num_devices) {
+      throw std::invalid_argument(
+          "partition: CVC grid does not match device count");
+    }
+  }
+}
+
+DistGraph build_layout(std::vector<int> master_of,
+                       const std::vector<std::vector<RawEdge>>& dev_edges,
+                       std::span<const EdgeId> out_deg,
+                       std::span<const EdgeId> in_deg, EdgeId global_edges,
+                       bool weighted, const PartitionOptions& options,
+                       const CvcGrid& grid) {
+  const auto n = static_cast<VertexId>(master_of.size());
+  const std::size_t devices = dev_edges.size();
+  std::vector<std::vector<VertexId>> dev_masters(devices);
+  for (VertexId v = 0; v < n; ++v) dev_masters[master_of[v]].push_back(v);
+
+  std::vector<LocalGraph> parts(devices);
+  sim::ThreadPool::global().parallel_for(
+      0, devices, [&](std::size_t lo, std::size_t hi, std::size_t) {
+        for (std::size_t d = lo; d < hi; ++d) {
+          parts[d] = build_local_graph(static_cast<int>(d), dev_masters[d],
+                                       dev_edges[d], n, out_deg, in_deg,
+                                       weighted);
+        }
+      });
+
+  PartitionStats stats = compute_stats(parts, n, global_edges);
+  return DistGraph::assemble(std::move(parts), std::move(master_of), n,
+                             global_edges, weighted, options, grid,
+                             std::move(stats));
 }
 
 }  // namespace sg::partition::detail

@@ -1,12 +1,10 @@
 #include "partition/dist_graph.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "partition/detail.hpp"
 #include "sim/rng.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace sg::partition {
 
@@ -107,48 +105,22 @@ DistGraph partition_graph(const Csr& g, const PartitionOptions& options) {
   const VertexId n = g.num_vertices();
   if (n == 0) throw std::invalid_argument("partition_graph: empty graph");
 
-  DistGraph dg;
-  dg.options_ = options;
-  dg.global_vertices_ = n;
-  dg.global_edges_ = g.num_edges();
-  dg.weighted_ = g.has_weights();
-
   // ---- 1. Master assignment -------------------------------------------
   const std::vector<EdgeId> out_deg = g.out_degrees();
   const std::vector<EdgeId> in_deg = in_degrees(g);
-  dg.master_of_ =
+  std::vector<int> master_of =
       options.policy == Policy::GREEDY
           ? greedy_masters(g, devices, options.seed)
           : detail::assign_masters_streamable(options.policy, out_deg,
                                               in_deg, devices, options.seed);
-  auto& master_of = dg.master_of_;
+  const detail::EdgeRouter router(options, master_of, in_deg, g.num_edges());
 
-  if (options.policy == Policy::CVC) {
-    dg.grid_ = (options.grid_rows > 0 && options.grid_cols > 0)
-                   ? CvcGrid{options.grid_rows, options.grid_cols}
-                   : CvcGrid::auto_shape(devices);
-    if (dg.grid_.devices() != devices) {
-      throw std::invalid_argument(
-          "partition_graph: CVC grid does not match device count");
-    }
-  }
-
-  const EdgeId hvc_threshold =
-      options.policy == Policy::HVC
-          ? detail::hvc_threshold_for(options.hvc_threshold_factor,
-                                      g.num_edges(), n)
-          : 0;
-  auto owner_of = [&](VertexId u, VertexId v) {
-    return detail::edge_owner(options.policy, u, v, master_of, in_deg,
-                              hvc_threshold, dg.grid_);
-  };
-
-  // ---- 2. Distribute edges ---------------------------------------------
+  // ---- 2. Distribute edges (count first, so no edge list regrows) -----
   std::vector<std::vector<detail::RawEdge>> dev_edges(devices);
   {
     std::vector<EdgeId> counts(devices, 0);
     for (VertexId u = 0; u < n; ++u) {
-      for (VertexId v : g.neighbors(u)) ++counts[owner_of(u, v)];
+      for (VertexId v : g.neighbors(u)) ++counts[router.owner(u, v)];
     }
     for (int d = 0; d < devices; ++d) dev_edges[d].reserve(counts[d]);
     for (VertexId u = 0; u < n; ++u) {
@@ -157,34 +129,16 @@ DistGraph partition_graph(const Csr& g, const PartitionOptions& options) {
           g.has_weights() ? g.weights(u) : std::span<const Weight>{};
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
         const VertexId v = nbrs[i];
-        dev_edges[owner_of(u, v)].push_back(
+        dev_edges[router.owner(u, v)].push_back(
             detail::RawEdge{u, v, ws.empty() ? Weight{1} : ws[i]});
       }
     }
   }
 
-  // Masters grouped per device (in global-id order for determinism).
-  std::vector<std::vector<VertexId>> dev_masters(devices);
-  for (VertexId v = 0; v < n; ++v) {
-    dev_masters[master_of[v]].push_back(v);
-  }
-
-  // ---- 3. Build per-device local graphs (parallel over devices) --------
-  dg.parts_.resize(devices);
-  const bool weighted = g.has_weights();
-  sim::ThreadPool::global().parallel_for(
-      0, static_cast<std::size_t>(devices),
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t d = lo; d < hi; ++d) {
-          dg.parts_[d] = detail::build_local_graph(
-              static_cast<int>(d), dev_masters[d], dev_edges[d], n,
-              out_deg, in_deg, weighted);
-        }
-      });
-
-  // ---- 4. Stats ----------------------------------------------------------
-  dg.stats_ = detail::compute_stats(dg.parts_, n, g.num_edges());
-  return dg;
+  // ---- 3. Build the per-device local graphs ----------------------------
+  return detail::build_layout(std::move(master_of), dev_edges, out_deg,
+                              in_deg, g.num_edges(), g.has_weights(), options,
+                              router.grid());
 }
 
 }  // namespace sg::partition

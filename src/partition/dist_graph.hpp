@@ -63,11 +63,9 @@ class DistGraph {
   [[nodiscard]] bool weighted() const { return weighted_; }
   [[nodiscard]] const PartitionStats& stats() const { return stats_; }
 
-  friend DistGraph partition_graph(const graph::Csr& g,
-                                   const PartitionOptions& options);
-
-  /// Reassembles a DistGraph from previously computed pieces (the
-  /// partition-store deserialization path; see partition_io.hpp).
+  /// Assembles a DistGraph from finished pieces: the layout builder
+  /// every producer shares, and the partition-store load path (see
+  /// partition_io.hpp).
   [[nodiscard]] static DistGraph assemble(
       std::vector<LocalGraph> parts, std::vector<int> master_of,
       graph::VertexId global_vertices, graph::EdgeId global_edges,

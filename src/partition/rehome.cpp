@@ -32,6 +32,81 @@ void globalize_edges(const LocalGraph& lg, std::vector<detail::RawEdge>& out) {
   }
 }
 
+/// Capacity bookkeeping shared by the two re-homers: which devices are
+/// gone (the excluded device and any marked `dead` by earlier
+/// recoveries) and the headroom left on the rest. An empty `free_bytes`
+/// means unconstrained; gone devices have none.
+class Headroom {
+ public:
+  struct Pick {
+    int device;
+    std::uint64_t free;
+  };
+
+  Headroom(int devices, int excluded,
+           std::span<const std::uint64_t> free_bytes,
+           std::span<const std::uint8_t> dead_mask)
+      : excluded_(excluded),
+        dead_(dead_mask),
+        left_(static_cast<std::size_t>(devices),
+              std::numeric_limits<std::uint64_t>::max()) {
+    for (int d = 0; d < devices; ++d) {
+      if (gone(d)) {
+        left_[d] = 0;
+      } else if (d < static_cast<int>(free_bytes.size())) {
+        left_[d] = free_bytes[d];
+      }
+    }
+  }
+
+  [[nodiscard]] bool dead(int d) const {
+    return d < static_cast<int>(dead_.size()) && dead_[d] != 0;
+  }
+  [[nodiscard]] bool gone(int d) const { return d == excluded_ || dead(d); }
+  [[nodiscard]] std::uint64_t left(int d) const { return left_[d]; }
+
+  void charge(int d, std::uint64_t bytes) {
+    std::uint64_t& h = left_[d];
+    h = bytes > h ? 0 : h - bytes;
+  }
+
+  /// The live device with the most headroom (ties: lowest id), or
+  /// {-1, 0} when no device is live.
+  [[nodiscard]] Pick most_free() const {
+    Pick best{-1, 0};
+    for (int d = 0; d < static_cast<int>(left_.size()); ++d) {
+      if (!gone(d) && (best.device < 0 || left_[d] > best.free)) {
+        best = {d, left_[d]};
+      }
+    }
+    return best;
+  }
+
+ private:
+  int excluded_;
+  std::span<const std::uint8_t> dead_;
+  std::vector<std::uint64_t> left_;
+};
+
+/// Rebuilds `old` under a new master directory and edge placement. The
+/// whole-graph degrees come back from the old parts, where every proxy
+/// carries its vertex's.
+DistGraph relayout(
+    const DistGraph& old, std::vector<int> new_master,
+    const std::vector<std::vector<detail::RawEdge>>& edges_by_dev) {
+  std::vector<graph::EdgeId> g_out(old.global_vertices(), 0);
+  std::vector<graph::EdgeId> g_in(old.global_vertices(), 0);
+  for (const LocalGraph& lg : old.parts()) {
+    for (graph::VertexId v = 0; v < lg.num_local; ++v) {
+      g_out[lg.l2g[v]] = lg.global_out_degree[v];
+      g_in[lg.l2g[v]] = lg.global_in_degree[v];
+    }
+  }
+  return detail::build_layout(std::move(new_master), edges_by_dev, g_out,
+                              g_in, old.global_edges(), old.weighted(),
+                              old.options(), old.grid());
+}
+
 }  // namespace
 
 RehomeResult rehome_partition(const DistGraph& old, int lost_device,
@@ -39,10 +114,6 @@ RehomeResult rehome_partition(const DistGraph& old, int lost_device,
                               std::span<const std::uint64_t> free_bytes,
                               std::span<const std::uint8_t> dead) {
   const int n = old.num_devices();
-  const auto gone = [&](int d) {
-    return d == lost_device ||
-           (d < static_cast<int>(dead.size()) && dead[static_cast<std::size_t>(d)] != 0);
-  };
   if (n < 2) {
     throw std::runtime_error(
         "rehome_partition: cannot evict device " +
@@ -54,40 +125,22 @@ RehomeResult rehome_partition(const DistGraph& old, int lost_device,
                              std::to_string(lost_device) + " out of range");
   }
 
+  Headroom room(n, lost_device, free_bytes, dead);
   RehomeResult result;
   std::vector<int> new_master = old.master_directory();
-  std::vector<std::uint64_t> headroom(static_cast<std::size_t>(n),
-                                      std::numeric_limits<std::uint64_t>::max());
-  if (!free_bytes.empty()) {
-    for (int d = 0; d < n && d < static_cast<int>(free_bytes.size()); ++d) {
-      headroom[static_cast<std::size_t>(d)] = free_bytes[d];
-    }
-  }
-  for (int d = 0; d < n; ++d) {
-    if (gone(d)) headroom[static_cast<std::size_t>(d)] = 0;
-  }
-
-  const auto charge = [&](int d, std::uint64_t bytes) {
-    auto& h = headroom[static_cast<std::size_t>(d)];
-    h = bytes > h ? 0 : h - bytes;
-  };
 
   // --- Election: lowest-ranked surviving proxy holder becomes master.
   const graph::VertexId gv_count = old.global_vertices();
   for (graph::VertexId gv = 0; gv < gv_count; ++gv) {
     if (new_master[gv] != lost_device) continue;
     int elected = -1;
-    for (int d = 0; d < n; ++d) {
-      if (gone(d)) continue;
-      if (old.part(d).local_of(gv)) {
-        elected = d;
-        break;
-      }
+    for (int d = 0; d < n && elected < 0; ++d) {
+      if (!room.gone(d) && old.part(d).local_of(gv)) elected = d;
     }
     if (elected >= 0) {
       new_master[gv] = elected;
       result.rehomed.push_back(gv);
-      charge(elected, kVertexBytes);
+      room.charge(elected, kVertexBytes);
     } else {
       result.orphaned.push_back(gv);  // placed below, by capacity
     }
@@ -100,24 +153,16 @@ RehomeResult rehome_partition(const DistGraph& old, int lost_device,
     const std::uint64_t cost =
         kVertexBytes + (lost_part.out_degree(lv) + lost_part.in_degree(lv)) *
                            kEdgeBytes;
-    int target = -1;
-    std::uint64_t best = 0;
-    for (int d = 0; d < n; ++d) {
-      if (gone(d)) continue;
-      const std::uint64_t h = headroom[static_cast<std::size_t>(d)];
-      if (target < 0 || h > best) {
-        target = d;
-        best = h;
-      }
-    }
-    if (target < 0 || best < cost) {
+    // cost >= kVertexBytes, so "no survivor at all" fails here too.
+    const auto [target, best] = room.most_free();
+    if (best < cost) {
       throw std::runtime_error(
           "rehome_partition: no surviving device can absorb orphaned vertex " +
           std::to_string(gv) + " (" + std::to_string(cost) +
           " B needed, best survivor has " + std::to_string(best) + " B free)");
     }
     new_master[gv] = target;
-    charge(target, cost);
+    room.charge(target, cost);
   }
 
   // --- Route the lost device's edges, grouped by source. A fresh proxy
@@ -143,12 +188,8 @@ RehomeResult rehome_partition(const DistGraph& old, int lost_device,
                            gu)) {
       target = new_master[gu];
     } else {
-      for (int d = 0; d < n; ++d) {
-        if (gone(d)) continue;
-        if (!old.part(d).local_of(gu)) {
-          target = d;
-          break;
-        }
+      for (int d = 0; d < n && target < 0; ++d) {
+        if (!room.gone(d) && !old.part(d).local_of(gu)) target = d;
       }
       if (target < 0) target = new_master[gu];
     }
@@ -159,47 +200,14 @@ RehomeResult rehome_partition(const DistGraph& old, int lost_device,
   std::vector<std::vector<detail::RawEdge>> edges_by_dev(
       static_cast<std::size_t>(n));
   for (int d = 0; d < n; ++d) {
-    if (gone(d)) continue;
-    globalize_edges(old.part(d), edges_by_dev[static_cast<std::size_t>(d)]);
+    if (!room.gone(d)) globalize_edges(old.part(d), edges_by_dev[d]);
   }
   for (const detail::RawEdge& e : migrated) {
-    const int target = route_of(e.src);
-    edges_by_dev[static_cast<std::size_t>(target)].push_back(e);
-    charge(target, kEdgeBytes);
+    edges_by_dev[route_of(e.src)].push_back(e);
   }
 
   // --- Rebuild every part against the new ownership map.
-  std::vector<std::vector<graph::VertexId>> masters_by_dev(
-      static_cast<std::size_t>(n));
-  for (graph::VertexId gv = 0; gv < gv_count; ++gv) {
-    masters_by_dev[static_cast<std::size_t>(new_master[gv])].push_back(gv);
-  }
-
-  std::vector<graph::EdgeId> g_out(gv_count, 0);
-  std::vector<graph::EdgeId> g_in(gv_count, 0);
-  for (int d = 0; d < n; ++d) {
-    const LocalGraph& lg = old.part(d);
-    for (graph::VertexId v = 0; v < lg.num_local; ++v) {
-      g_out[lg.l2g[v]] = lg.global_out_degree[v];
-      g_in[lg.l2g[v]] = lg.global_in_degree[v];
-    }
-  }
-
-  std::vector<LocalGraph> parts;
-  parts.reserve(static_cast<std::size_t>(n));
-  for (int d = 0; d < n; ++d) {
-    parts.push_back(detail::build_local_graph(
-        d, masters_by_dev[static_cast<std::size_t>(d)],
-        edges_by_dev[static_cast<std::size_t>(d)], gv_count, g_out, g_in,
-        old.weighted()));
-  }
-
-  PartitionStats stats =
-      detail::compute_stats(parts, gv_count, old.global_edges());
-  result.dg = DistGraph::assemble(std::move(parts), std::move(new_master),
-                                  gv_count, old.global_edges(),
-                                  old.weighted(), old.options(), old.grid(),
-                                  std::move(stats));
+  result.dg = relayout(old, std::move(new_master), edges_by_dev);
   return result;
 }
 
@@ -208,20 +216,12 @@ RebalanceResult rebalance_partition(const DistGraph& old, int hot_device,
                                     std::span<const std::uint64_t> free_bytes,
                                     std::span<const std::uint8_t> dead) {
   const int n = old.num_devices();
-  const auto gone = [&](int d) {
-    return d == hot_device ||
-           (d < static_cast<int>(dead.size()) &&
-            dead[static_cast<std::size_t>(d)] != 0);
-  };
   if (hot_device < 0 || hot_device >= n) {
     throw std::runtime_error("rebalance_partition: device " +
                              std::to_string(hot_device) + " out of range");
   }
-  int live_targets = 0;
-  for (int d = 0; d < n; ++d) {
-    if (!gone(d)) ++live_targets;
-  }
-  if (live_targets == 0) {
+  Headroom room(n, hot_device, free_bytes, dead);
+  if (room.most_free().device < 0) {
     throw std::runtime_error(
         "rebalance_partition: no live device to move shards from device " +
         std::to_string(hot_device) + " onto");
@@ -262,54 +262,29 @@ RebalanceResult rebalance_partition(const DistGraph& old, int hot_device,
 
   // --- Place each moved master, capacity-aware like rehome's orphans.
   std::vector<int> new_master = old.master_directory();
-  std::vector<std::uint64_t> headroom(
-      static_cast<std::size_t>(n), std::numeric_limits<std::uint64_t>::max());
-  if (!free_bytes.empty()) {
-    for (int d = 0; d < n && d < static_cast<int>(free_bytes.size()); ++d) {
-      headroom[static_cast<std::size_t>(d)] = free_bytes[d];
-    }
-  }
-  for (int d = 0; d < n; ++d) {
-    if (gone(d)) headroom[static_cast<std::size_t>(d)] = 0;
-  }
-  const auto charge = [&](int d, std::uint64_t bytes) {
-    auto& h = headroom[static_cast<std::size_t>(d)];
-    h = bytes > h ? 0 : h - bytes;
-  };
-
   for (const graph::VertexId gv : result.moved) {
     const graph::VertexId lv = hot.local_of(gv).value();
     const std::uint64_t cost =
         kVertexBytes + hot.out_degree(lv) * kEdgeBytes;
     int target = -1;
-    for (int d = 0; d < n; ++d) {
-      if (gone(d)) continue;
-      if (old.part(d).local_of(gv) &&
-          headroom[static_cast<std::size_t>(d)] >= cost) {
+    for (int d = 0; d < n && target < 0; ++d) {
+      if (!room.gone(d) && old.part(d).local_of(gv) && room.left(d) >= cost) {
         target = d;
-        break;
       }
     }
     if (target < 0) {
-      std::uint64_t best = 0;
-      for (int d = 0; d < n; ++d) {
-        if (gone(d)) continue;
-        const std::uint64_t h = headroom[static_cast<std::size_t>(d)];
-        if (target < 0 || h > best) {
-          target = d;
-          best = h;
-        }
-      }
-      if (target < 0 || best < cost) {
+      const auto [most_free, best] = room.most_free();
+      if (best < cost) {
         throw std::runtime_error(
             "rebalance_partition: no live device can absorb master " +
             std::to_string(gv) + " (" + std::to_string(cost) +
             " B needed, best target has " + std::to_string(best) +
             " B free)");
       }
+      target = most_free;
     }
     new_master[gv] = target;
-    charge(target, cost);
+    room.charge(target, cost);
   }
 
   // --- Rebuild: the hot device keeps every edge whose source did not
@@ -317,69 +292,26 @@ RebalanceResult rebalance_partition(const DistGraph& old, int hot_device,
   std::vector<std::vector<detail::RawEdge>> edges_by_dev(
       static_cast<std::size_t>(n));
   for (int d = 0; d < n; ++d) {
-    if (d < static_cast<int>(dead.size()) &&
-        dead[static_cast<std::size_t>(d)] != 0) {
-      continue;
-    }
+    if (room.dead(d)) continue;
     if (d != hot_device) {
-      globalize_edges(old.part(d), edges_by_dev[static_cast<std::size_t>(d)]);
+      globalize_edges(old.part(d), edges_by_dev[d]);
       continue;
     }
-    const bool weighted = !hot.out_weights.empty();
-    for (graph::VertexId u = 0; u < hot.num_local; ++u) {
-      const graph::VertexId gu = hot.l2g[u];
-      const bool moved_src = std::binary_search(
-          result.moved.begin(), result.moved.end(), gu);
-      for (graph::EdgeId e = hot.out_offsets[u]; e < hot.out_offsets[u + 1];
-           ++e) {
-        const detail::RawEdge edge{
-            gu, hot.l2g[hot.out_dsts[e]],
-            weighted ? hot.out_weights[e] : graph::Weight{1}};
-        if (moved_src) {
-          edges_by_dev[static_cast<std::size_t>(new_master[gu])].push_back(
-              edge);
-          ++result.migrated_edges;
-        } else {
-          edges_by_dev[static_cast<std::size_t>(d)].push_back(edge);
-        }
+    std::vector<detail::RawEdge> hot_edges;
+    globalize_edges(hot, hot_edges);
+    for (const detail::RawEdge& e : hot_edges) {
+      if (std::binary_search(result.moved.begin(), result.moved.end(),
+                             e.src)) {
+        edges_by_dev[new_master[e.src]].push_back(e);
+        ++result.migrated_edges;
+      } else {
+        edges_by_dev[d].push_back(e);
       }
     }
   }
   result.migrated_bytes = result.migrated_edges * kEdgeBytes +
                           result.moved.size() * kVertexBytes;
-
-  const graph::VertexId gv_count = old.global_vertices();
-  std::vector<std::vector<graph::VertexId>> masters_by_dev(
-      static_cast<std::size_t>(n));
-  for (graph::VertexId gv = 0; gv < gv_count; ++gv) {
-    masters_by_dev[static_cast<std::size_t>(new_master[gv])].push_back(gv);
-  }
-
-  std::vector<graph::EdgeId> g_out(gv_count, 0);
-  std::vector<graph::EdgeId> g_in(gv_count, 0);
-  for (int d = 0; d < n; ++d) {
-    const LocalGraph& lg = old.part(d);
-    for (graph::VertexId v = 0; v < lg.num_local; ++v) {
-      g_out[lg.l2g[v]] = lg.global_out_degree[v];
-      g_in[lg.l2g[v]] = lg.global_in_degree[v];
-    }
-  }
-
-  std::vector<LocalGraph> parts;
-  parts.reserve(static_cast<std::size_t>(n));
-  for (int d = 0; d < n; ++d) {
-    parts.push_back(detail::build_local_graph(
-        d, masters_by_dev[static_cast<std::size_t>(d)],
-        edges_by_dev[static_cast<std::size_t>(d)], gv_count, g_out, g_in,
-        old.weighted()));
-  }
-
-  PartitionStats stats =
-      detail::compute_stats(parts, gv_count, old.global_edges());
-  result.dg = DistGraph::assemble(std::move(parts), std::move(new_master),
-                                  gv_count, old.global_edges(),
-                                  old.weighted(), old.options(), old.grid(),
-                                  std::move(stats));
+  result.dg = relayout(old, std::move(new_master), edges_by_dev);
   return result;
 }
 

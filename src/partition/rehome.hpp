@@ -35,9 +35,11 @@ struct RehomeResult {
 /// checksummed partition store when one is configured, otherwise the
 /// engine's in-memory copy (topology is never lost in the simulation;
 /// only volatile program state is). `free_bytes[d]` is each device's
-/// remaining DeviceMemory headroom; orphan placement and edge migration
-/// respect it and throw a descriptive error when no survivor can absorb
-/// the remainder. An empty span means "unconstrained".
+/// remaining DeviceMemory headroom: elections charge it, and orphan
+/// placement respects it and throws a descriptive error when no survivor
+/// can absorb an orphan. Migrated edges are not checked against it; the
+/// engine charges the whole new layout to DeviceMemory. An empty span
+/// means "unconstrained".
 ///
 /// Election and routing rules (all deterministic):
 ///  * master of a lost-mastered vertex -> lowest surviving device that

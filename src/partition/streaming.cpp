@@ -7,7 +7,6 @@
 
 #include "graph/io.hpp"
 #include "partition/detail.hpp"
-#include "sim/thread_pool.hpp"
 
 namespace sg::partition {
 
@@ -110,22 +109,7 @@ DistGraph partition_stream(EdgeSource& source,
 
   std::vector<int> master_of = detail::assign_masters_streamable(
       options.policy, out_deg, in_deg, devices, options.seed);
-
-  CvcGrid grid;
-  if (options.policy == Policy::CVC) {
-    grid = (options.grid_rows > 0 && options.grid_cols > 0)
-               ? CvcGrid{options.grid_rows, options.grid_cols}
-               : CvcGrid::auto_shape(devices);
-    if (grid.devices() != devices) {
-      throw std::invalid_argument(
-          "partition_stream: CVC grid does not match device count");
-    }
-  }
-  const EdgeId hvc_threshold =
-      options.policy == Policy::HVC
-          ? detail::hvc_threshold_for(options.hvc_threshold_factor,
-                                      total_edges, n)
-          : 0;
+  const detail::EdgeRouter router(options, master_of, in_deg, total_edges);
 
   // ---- Pass 2: route each edge to its owner. ----
   const bool weighted = source.weighted();
@@ -134,32 +118,14 @@ DistGraph partition_stream(EdgeSource& source,
   for (std::size_t k; (k = source.next_chunk(chunk)) > 0;) {
     for (std::size_t i = 0; i < k; ++i) {
       const Edge& e = chunk[i];
-      const int owner = detail::edge_owner(options.policy, e.src, e.dst,
-                                           master_of, in_deg,
-                                           hvc_threshold, grid);
-      dev_edges[owner].push_back(
+      dev_edges[router.owner(e.src, e.dst)].push_back(
           detail::RawEdge{e.src, e.dst, weighted ? e.weight : 1});
     }
   }
 
-  std::vector<std::vector<VertexId>> dev_masters(devices);
-  for (VertexId v = 0; v < n; ++v) dev_masters[master_of[v]].push_back(v);
-
-  std::vector<LocalGraph> parts(devices);
-  sim::ThreadPool::global().parallel_for(
-      0, static_cast<std::size_t>(devices),
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        for (std::size_t d = lo; d < hi; ++d) {
-          parts[d] = detail::build_local_graph(
-              static_cast<int>(d), dev_masters[d], dev_edges[d], n,
-              out_deg, in_deg, weighted);
-        }
-      });
-
-  PartitionStats stats = detail::compute_stats(parts, n, total_edges);
-  return DistGraph::assemble(std::move(parts), std::move(master_of), n,
-                             total_edges, weighted, options, grid,
-                             std::move(stats));
+  return detail::build_layout(std::move(master_of), dev_edges, out_deg,
+                              in_deg, total_edges, weighted, options,
+                              router.grid());
 }
 
 }  // namespace sg::partition

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <cstdio>
 #include <vector>
 
 #include "comm/sync_structure.hpp"
@@ -46,6 +49,23 @@ inline engine::EngineConfig cfg(engine::ExecModel model,
   c.sync_mode = mode;
   c.balancer = bal;
   return c;
+}
+
+/// Predicate-formatter for pinned doubles, used as
+/// `EXPECT_PRED_FORMAT2(test::exact_double_eq, got, pin)`. It demands
+/// exact equality (EXPECT_DOUBLE_EQ allows 4 ULPs) and prints both
+/// values with %.17g, which round-trips, so a failure shows the value to
+/// re-pin.
+inline testing::AssertionResult exact_double_eq(const char* got_expr,
+                                                const char* want_expr,
+                                                double got, double want) {
+  if (got == want) return testing::AssertionSuccess();
+  char g[32], w[32];
+  std::snprintf(g, sizeof g, "%.17g", got);
+  std::snprintf(w, sizeof w, "%.17g", want);
+  return testing::AssertionFailure() << "Expected exact equality\n  "
+                                     << got_expr << " = " << g << "\n  "
+                                     << want_expr << " = " << w;
 }
 
 }  // namespace sg::test

@@ -330,7 +330,8 @@ TEST(MinPlusGolden, RunStatsMatchRecordedValues) {
     EXPECT_EQ(s.global_rounds, pin.global_rounds) << at;
     EXPECT_EQ(work, pin.work_items) << at;
     EXPECT_EQ(rounds, pin.local_rounds) << at;
-    EXPECT_EQ(s.total_time.seconds(), pin.total_time_s) << at;
+    EXPECT_PRED_FORMAT2(test::exact_double_eq, s.total_time.seconds(),
+                        pin.total_time_s) << at;
     EXPECT_EQ(s.comm.total_volume(), pin.comm_bytes) << at;
   }
 }

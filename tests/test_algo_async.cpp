@@ -244,7 +244,8 @@ TEST(BaspGolden, SelfRescheduleStatsMatchRecordedValues) {
       EXPECT_NE(trace.find("kernel.idle_poll"), std::string::npos)
           << pin.name;
     }
-    EXPECT_EQ(s.total_time.seconds(), pin.total_time_s) << pin.name;
+    EXPECT_PRED_FORMAT2(test::exact_double_eq, s.total_time.seconds(),
+                        pin.total_time_s) << pin.name;
     EXPECT_EQ(rounds, pin.local_rounds) << pin.name;
     EXPECT_EQ(s.total_work(), pin.work_items) << pin.name;
     EXPECT_EQ(s.comm.total_volume(), pin.comm_bytes) << pin.name;

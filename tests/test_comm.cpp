@@ -238,7 +238,6 @@ TEST_F(FieldSyncTest, UoExtractShipsOnlyDirtyAndClearsBits) {
   EXPECT_EQ(p.positions, (std::vector<std::uint32_t>{1, 3}));
   EXPECT_EQ(p.values, (std::vector<std::uint32_t>{7, 9}));
   EXPECT_FALSE(dirty.any());
-  EXPECT_EQ(p.scanned, 4u);
 }
 
 TEST_F(FieldSyncTest, AsExtractShipsEverything) {

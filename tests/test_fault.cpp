@@ -1720,7 +1720,8 @@ TEST(WireGolden, RunStatsMatchRecordedValues) {
     const std::string at = std::string(pin.name) + "/" +
                            engine::to_string(pin.model) +
                            (pin.wire_protocol ? "/protocol" : "/unprotected");
-    EXPECT_EQ(s.total_time.seconds(), pin.total_time_s) << at;
+    EXPECT_PRED_FORMAT2(test::exact_double_eq, s.total_time.seconds(),
+                        pin.total_time_s) << at;
     EXPECT_EQ(s.comm.total_volume(), pin.comm_bytes) << at;
     EXPECT_EQ(s.comm.messages, pin.messages) << at;
     EXPECT_EQ(s.comm.reduce_values, pin.reduce_values) << at;

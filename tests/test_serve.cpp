@@ -1,13 +1,18 @@
 // Serving-layer tests: batched kernels against their unbatched
 // oracles (msbfs/mssssp bit-exact per lane, batched PPR within the
 // push threshold's resolution), and the BatchScheduler's admission,
-// caching, deadline ordering, metrics gating, and report determinism.
+// caching, deadline ordering, metrics gating, and report determinism,
+// plus golden pins of two serving reports and one tenant archive.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/minplus.hpp"
@@ -19,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/workload.hpp"
+#include "util/hash.hpp"
 
 namespace sg {
 namespace {
@@ -987,6 +993,199 @@ TEST(BatchScheduler, LifecycleHedgesStragglingBatches) {
               static_cast<std::uint64_t>(
                   algo::reference::bfs(fx.g, qs[i].source)[5]));
   }
+}
+
+
+// ---- golden pins ---------------------------------------------------------
+
+std::uint64_t digest_of(const std::vector<char>& bytes) {
+  return util::fnv1a64(bytes.data(), bytes.size());
+}
+
+std::uint64_t digest_of(const std::string& s) {
+  return util::fnv1a64(s.data(), s.size());
+}
+
+/// abl12's armed config: brownout, lifecycle and a 2-home reshard.
+serve::ServeConfig armed_golden_cfg() {
+  serve::ServeConfig sc;
+  sc.max_queue_depth = 256;
+  sc.default_limits = {.rate_qps = 1e6, .burst = 1024.0, .max_queued = 256};
+  sc.dist_cache_capacity = 192;
+  sc.ppr_cache_capacity = 64;
+  sc.brownout.enabled = true;
+  sc.brownout.score_on = 0.55;
+  sc.brownout.score_off = 0.25;
+  sc.brownout.sustain_evals = 1;
+  sc.lifecycle.enabled = true;
+  sc.reshard.enabled = true;
+  sc.reshard.num_homes = 2;
+  sc.reshard.imbalance_on = 1.3;
+  sc.reshard.imbalance_off = 1.1;
+  return sc;
+}
+
+struct GoldenServe {
+  const char* name;
+  serve::ServeConfig cfg;
+  std::uint64_t report_digest;
+  std::size_t report_length;
+  serve::ResultCache::Stats cache;
+};
+
+TEST(ServeGolden, ReportsAndCacheStatsMatchRecordedDigests) {
+  // A small mixed trace (all four kinds, a source pool wider than the
+  // armed config's per-home distance budget) replayed in two halves
+  // with one epoch bump between them.
+  SymmetricServeFixture fx;
+  serve::WorkloadSpec spec;
+  spec.num_queries = 800;
+  spec.num_tenants = 4;
+  spec.arrival_rate_qps = 480000.0;
+  spec.source_skew = 0.7;
+  spec.source_pool = 480;
+  spec.deadline_slack_lo_ms = 0.5;
+  spec.deadline_slack_hi_ms = 8.0;
+  spec.seed = 5;
+  const auto trace = serve::generate_workload(spec, fx.g.num_vertices());
+  const std::span<const serve::Query> all(trace);
+  const std::size_t half = trace.size() / 2;
+
+  const GoldenServe cells[] = {
+      {"default", serve::ServeConfig{}, 0x58b866d1f75a7c42ULL, 1475,
+       {.hits = 3, .misses = 125, .insertions = 95, .evictions = 0,
+        .invalidations = 95}},
+      {"armed", armed_golden_cfg(), 0x728583aa9b4c1928ULL, 1948,
+       {.hits = 58, .misses = 803, .insertions = 234, .evictions = 15,
+        .invalidations = 201}},
+  };
+  for (const GoldenServe& cell : cells) {
+    SCOPED_TRACE(cell.name);
+    auto sched = fx.make(cell.cfg);
+    (void)sched.run(all.first(half));
+    sched.bump_epoch();
+    (void)sched.run(all.subspan(half));
+    if (cell.cfg.reshard.enabled) {
+      // The armed cell must reach the paths it pins.
+      EXPECT_GT(sched.report().reshard_migrations, 0u);
+      EXPECT_GT(sched.report().degraded_served, 0u);
+    }
+    const std::string json = sched.report_json();
+    const serve::ResultCache::Stats cs = sched.cache_stats();
+    EXPECT_EQ(digest_of(json), cell.report_digest);
+    EXPECT_EQ(json.size(), cell.report_length);
+    EXPECT_EQ(cs.hits, cell.cache.hits);
+    EXPECT_EQ(cs.misses, cell.cache.misses);
+    EXPECT_EQ(cs.insertions, cell.cache.insertions);
+    EXPECT_EQ(cs.evictions, cell.cache.evictions);
+    EXPECT_EQ(cs.invalidations, cell.cache.invalidations);
+  }
+}
+
+/// Appends one ppr row in the archive's layout: its length, then each
+/// ScoredVertex as its in-memory bytes (vertex id, 4 bytes of padding,
+/// score) with the padding zeroed, so the pinned bytes do not depend on
+/// what the padding of a live row holds.
+void put_ranked(partition::ByteWriter& w,
+                const std::vector<std::pair<graph::VertexId, double>>& row) {
+  static_assert(sizeof(serve::ScoredVertex) == 16);
+  w(static_cast<std::uint64_t>(row.size()));
+  for (const auto& [v, score] : row) w(v, std::uint32_t{0}, score);
+}
+
+void absorb_all(serve::ResultCache& cache, const std::vector<char>& bytes) {
+  partition::ByteReader r(bytes, "golden archive");
+  cache.absorb(r);
+  r.expect_end();
+}
+
+TEST(ServeGolden, TenantArchiveMatchesRecordedBytes) {
+  constexpr auto kInfHop = std::numeric_limits<std::uint32_t>::max();
+  const auto alpha = std::bit_cast<std::uint64_t>(0.15);
+  const auto eps = std::bit_cast<std::uint64_t>(1e-6);
+  using Hops = std::vector<std::uint32_t>;
+  using Paths = std::vector<std::uint64_t>;
+  // Archives in extract_tenant's layout: the owner, then per shelf
+  // (hop, sssp, ppr) a row count and each row's key fields and row.
+  partition::ByteWriter a3;
+  a3(std::uint32_t{3}, std::uint64_t{3});
+  a3(graph::VertexId{4}, std::uint64_t{1}, Hops{2, 0, kInfHop, 1});
+  a3(graph::VertexId{9}, std::uint64_t{0}, Hops{1, 3, 0, kInfHop});
+  a3(graph::VertexId{2}, std::uint64_t{1}, Hops{1, 2, 0, 3});
+  a3(std::uint64_t{2});
+  a3(graph::VertexId{6}, std::uint64_t{1}, Paths{40, 17, serve::kUnreachable});
+  a3(graph::VertexId{1}, std::uint64_t{0}, Paths{9, 0, 12, 30});
+  a3(std::uint64_t{3});
+  a3(graph::VertexId{5}, alpha, eps, std::uint64_t{1});
+  put_ranked(a3, {{5, 0.4}, {2, 0.125}});
+  a3(graph::VertexId{8}, alpha, eps, std::uint64_t{1});
+  put_ranked(a3, {{8, 0.5}});
+  a3(graph::VertexId{5}, alpha, std::bit_cast<std::uint64_t>(1e-4),
+     std::uint64_t{1});
+  put_ranked(a3, {{5, 0.375}, {1, 0.25}, {0, 0.0625}});
+  partition::ByteWriter a7;
+  a7(std::uint32_t{7}, std::uint64_t{1});
+  a7(graph::VertexId{11}, std::uint64_t{1}, Hops{0, 1, 1, 2});
+  a7(std::uint64_t{0}, std::uint64_t{1});
+  a7(graph::VertexId{12}, alpha, eps, std::uint64_t{1});
+  put_ranked(a7, {{12, 0.25}});
+
+  // Four distance rows fit (hop and sssp share the budget), two ppr
+  // rows. Each replay evicts least-recently-replayed rows: tenant 3's
+  // hop 4 and ppr (5, eps 1e-6), then hop 9 and ppr 8 for tenant 7's
+  // rows; the epoch-1 sweep strands sssp 1.
+  serve::ResultCache cache(/*dist_capacity=*/4, /*ppr_capacity=*/2);
+  absorb_all(cache, a3.bytes());
+  absorb_all(cache, a7.bytes());
+  cache.invalidate_stale(1);
+  const serve::ResultCache::Stats st = cache.stats();
+  EXPECT_EQ(st.hits, 0u);
+  EXPECT_EQ(st.misses, 0u);
+  EXPECT_EQ(st.insertions, 0u);
+  EXPECT_EQ(st.evictions, 4u);
+  EXPECT_EQ(st.invalidations, 1u);
+
+  partition::ByteWriter out;
+  cache.extract_tenant(3, out);
+  // One row left on each shelf: hop 2, sssp 6, ppr (5, eps 1e-4).
+  {
+    partition::ByteReader r(out.bytes(), "golden extract");
+    std::uint32_t owner = 0;
+    std::uint64_t n = 0;
+    graph::VertexId source = 0;
+    std::uint64_t epoch = 0;
+    std::uint64_t a = 0;
+    std::uint64_t e = 0;
+    Hops hops;
+    Paths paths;
+    std::vector<serve::ScoredVertex> ranked;
+    r(owner, n, source, epoch, hops);
+    EXPECT_EQ(owner, 3u);
+    EXPECT_EQ(n, 1u);
+    EXPECT_EQ(source, 2u);
+    r(n, source, epoch, paths);
+    EXPECT_EQ(n, 1u);
+    EXPECT_EQ(source, 6u);
+    r(n, source, a, e, epoch, ranked);
+    EXPECT_EQ(n, 1u);
+    EXPECT_EQ(source, 5u);
+    EXPECT_EQ(ranked.size(), 3u);
+    r.expect_end();
+  }
+  const std::vector<char> blob = serve::seal_blob(out.bytes());
+  EXPECT_EQ(digest_of(blob), 0xd1e60061f409c16aULL);
+  EXPECT_EQ(blob.size(), 216u);
+
+  // Replaying the archive elsewhere and extracting it again is
+  // bit-exact; tenant 3 owns nothing more in the source cache.
+  serve::ResultCache twin(4, 2);
+  absorb_all(twin, out.bytes());
+  partition::ByteWriter again;
+  twin.extract_tenant(3, again);
+  EXPECT_EQ(again.bytes(), out.bytes());
+  partition::ByteWriter empty;
+  cache.extract_tenant(3, empty);
+  EXPECT_EQ(empty.bytes().size(), sizeof(std::uint32_t) + 3 * 8);
 }
 
 }  // namespace

@@ -1,258 +1,38 @@
 #include "serve/cache.hpp"
 
-#include <bit>
-#include <limits>
-
 namespace sg::serve {
 
-namespace {
-/// Unreachable sentinel inside bfs rows (algo::kInfDist's value; kept
-/// literal here so the cache stays below the algo layer).
-inline constexpr std::uint32_t kInfHop =
-    std::numeric_limits<std::uint32_t>::max();
-}  // namespace
-
-// The two distance compartments share `dist_capacity_`; the PPR memo
-// has its own budget.
-template <typename Map>
-void ResultCache::evict_lru(Map& map, std::size_t other_size,
-                            std::uint32_t capacity) {
-  while (map.size() + other_size > capacity && !map.empty()) {
-    auto victim = map.begin();
-    for (auto it = std::next(map.begin()); it != map.end(); ++it) {
-      if (it->second.tick < victim->second.tick) victim = it;
-    }
-    map.erase(victim);
-    ++stats_.evictions;
-  }
-}
-
-const std::vector<std::uint32_t>* ResultCache::find_bfs(
-    graph::VertexId source, std::uint64_t epoch) {
-  const auto it = bfs_.find({source, epoch});
-  if (it == bfs_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
-  it->second.tick = ++tick_;
-  return &it->second.value;
-}
-
-const std::vector<std::uint64_t>* ResultCache::find_sssp(
-    graph::VertexId source, std::uint64_t epoch) {
-  const auto it = sssp_.find({source, epoch});
-  if (it == sssp_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
-  it->second.tick = ++tick_;
-  return &it->second.value;
-}
-
-const std::vector<ScoredVertex>* ResultCache::find_ppr(graph::VertexId seed,
-                                                       double alpha,
-                                                       double eps,
-                                                       std::uint64_t epoch) {
-  const PprKey key{seed, std::bit_cast<std::uint64_t>(alpha),
-                   std::bit_cast<std::uint64_t>(eps), epoch};
-  const auto it = ppr_.find(key);
-  if (it == ppr_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
-  it->second.tick = ++tick_;
-  return &it->second.value;
-}
-
-void ResultCache::put_bfs(graph::VertexId source, std::uint64_t epoch,
-                          std::vector<std::uint32_t> dist,
-                          std::uint32_t owner) {
-  auto& e = bfs_[{source, epoch}];
-  e.value = std::move(dist);
-  e.epoch = epoch;
-  e.tick = ++tick_;
-  e.owner = owner;
-  ++stats_.insertions;
-  evict_lru(bfs_, sssp_.size(), dist_capacity_);
-}
-
-void ResultCache::put_sssp(graph::VertexId source, std::uint64_t epoch,
-                           std::vector<std::uint64_t> dist,
-                           std::uint32_t owner) {
-  auto& e = sssp_[{source, epoch}];
-  e.value = std::move(dist);
-  e.epoch = epoch;
-  e.tick = ++tick_;
-  e.owner = owner;
-  ++stats_.insertions;
-  evict_lru(sssp_, bfs_.size(), dist_capacity_);
-}
-
-void ResultCache::put_ppr(graph::VertexId seed, double alpha, double eps,
-                          std::uint64_t epoch,
-                          std::vector<ScoredVertex> ranked,
-                          std::uint32_t owner) {
-  const PprKey key{seed, std::bit_cast<std::uint64_t>(alpha),
-                   std::bit_cast<std::uint64_t>(eps), epoch};
-  auto& e = ppr_[key];
-  e.value = std::move(ranked);
-  e.epoch = epoch;
-  e.tick = ++tick_;
-  e.owner = owner;
-  ++stats_.insertions;
-  evict_lru(ppr_, 0, ppr_capacity_);
-}
-
-std::uint64_t ResultCache::hop_bound(graph::VertexId s, graph::VertexId t,
-                                     std::uint64_t epoch) const {
-  std::uint64_t best = kUnreachable;
-  for (const auto& [key, e] : bfs_) {
-    if (key.second != epoch) continue;
-    const auto& row = e.value;
-    if (s >= row.size() || t >= row.size()) continue;
-    if (row[s] == kInfHop || row[t] == kInfHop) continue;
-    const std::uint64_t ub =
-        static_cast<std::uint64_t>(row[s]) + static_cast<std::uint64_t>(row[t]);
-    if (ub < best) best = ub;
-  }
-  return best;
-}
-
-std::uint64_t ResultCache::sssp_bound(graph::VertexId s, graph::VertexId t,
-                                      std::uint64_t epoch) const {
-  std::uint64_t best = kUnreachable;
-  for (const auto& [key, e] : sssp_) {
-    if (key.second != epoch) continue;
-    const auto& row = e.value;
-    if (s >= row.size() || t >= row.size()) continue;
-    if (row[s] == kUnreachable || row[t] == kUnreachable) continue;
-    const std::uint64_t ub = row[s] + row[t];
-    if (ub < best) best = ub;
-  }
-  return best;
-}
-
 void ResultCache::invalidate_stale(std::uint64_t current_epoch) {
-  const auto sweep = [&](auto& map) {
-    for (auto it = map.begin(); it != map.end();) {
-      if (it->second.epoch != current_epoch) {
-        it = map.erase(it);
-        ++stats_.invalidations;
-      } else {
-        ++it;
-      }
-    }
-  };
-  sweep(bfs_);
-  sweep(sssp_);
-  sweep(ppr_);
-}
-
-std::size_t ResultCache::owned_entries(std::uint32_t owner) const {
-  std::size_t n = 0;
-  const auto count = [&](const auto& map) {
-    for (const auto& [key, e] : map) {
-      if (e.owner == owner) ++n;
-    }
-  };
-  count(bfs_);
-  count(sssp_);
-  count(ppr_);
-  return n;
+  hop.sweep(current_epoch);
+  sssp.sweep(current_epoch);
+  ppr.sweep(current_epoch);
 }
 
 void ResultCache::extract_tenant(std::uint32_t owner,
                                  partition::ByteWriter& w) {
-  // One compartment at a time: count, then (key fields, row) per entry
-  // in std::map key order — deterministic on every platform.
-  const auto archive_dist = [&](auto& map) {
-    std::uint64_t n = 0;
-    for (const auto& [key, e] : map) {
-      if (e.owner == owner) ++n;
-    }
-    w(n);
-    for (auto it = map.begin(); it != map.end();) {
-      if (it->second.owner != owner) {
-        ++it;
-        continue;
-      }
-      w(it->first.first, it->first.second, it->second.value);
-      it = map.erase(it);
-    }
-  };
   w(owner);
-  archive_dist(bfs_);
-  archive_dist(sssp_);
-  std::uint64_t n_ppr = 0;
-  for (const auto& [key, e] : ppr_) {
-    if (e.owner == owner) ++n_ppr;
-  }
-  w(n_ppr);
-  for (auto it = ppr_.begin(); it != ppr_.end();) {
-    if (it->second.owner != owner) {
-      ++it;
-      continue;
-    }
-    w(it->first.seed, it->first.alpha_bits, it->first.eps_bits,
-      it->first.epoch, it->second.value);
-    it = ppr_.erase(it);
-  }
+  hop.archive(owner, w);
+  sssp.archive(owner, w);
+  ppr.archive(owner, w);
 }
 
 void ResultCache::absorb(partition::ByteReader& r) {
   std::uint32_t owner = 0;
   r(owner);
-  const auto take_bfs = [&] {
-    std::uint64_t n = 0;
-    r(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      graph::VertexId source = 0;
-      std::uint64_t epoch = 0;
-      std::vector<std::uint32_t> row;
-      r(source, epoch, row);
-      auto& e = bfs_[{source, epoch}];
-      e.value = std::move(row);
-      e.epoch = epoch;
-      e.tick = ++tick_;
-      e.owner = owner;
-    }
-  };
-  const auto take_sssp = [&] {
-    std::uint64_t n = 0;
-    r(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      graph::VertexId source = 0;
-      std::uint64_t epoch = 0;
-      std::vector<std::uint64_t> row;
-      r(source, epoch, row);
-      auto& e = sssp_[{source, epoch}];
-      e.value = std::move(row);
-      e.epoch = epoch;
-      e.tick = ++tick_;
-      e.owner = owner;
-    }
-  };
-  take_bfs();
-  take_sssp();
-  std::uint64_t n_ppr = 0;
-  r(n_ppr);
-  for (std::uint64_t i = 0; i < n_ppr; ++i) {
-    PprKey key;
-    std::vector<ScoredVertex> ranked;
-    r(key.seed, key.alpha_bits, key.eps_bits, key.epoch, ranked);
-    auto& e = ppr_[key];
-    e.value = std::move(ranked);
-    e.epoch = key.epoch;
-    e.tick = ++tick_;
-    e.owner = owner;
-  }
+  hop.replay(owner, r);
+  sssp.replay(owner, r);
+  ppr.replay(owner, r);
   // Migrated entries honor this cache's budget, not the source's.
-  evict_lru(bfs_, sssp_.size(), dist_capacity_);
-  evict_lru(sssp_, bfs_.size(), dist_capacity_);
-  evict_lru(ppr_, 0, ppr_capacity_);
+  trim(hop);
+  trim(sssp);
+  trim(ppr);
+}
+
+ResultCache::Stats ResultCache::stats() const {
+  Stats s = hop.stats();
+  s += sssp.stats();
+  s += ppr.stats();
+  return s;
 }
 
 }  // namespace sg::serve

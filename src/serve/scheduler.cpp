@@ -1,6 +1,7 @@
 #include "serve/scheduler.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
@@ -28,10 +29,6 @@ double percentile(std::vector<double> sample, double p) {
   return sample[rank - 1];
 }
 
-[[nodiscard]] bool is_hop_query(QueryKind k) {
-  return k == QueryKind::kBfsDist || k == QueryKind::kKhopCount;
-}
-
 /// Full nonzero ranking of one PPR lane (score desc, vertex asc) — the
 /// cacheable form that answers top-k requests of any k.
 std::vector<ScoredVertex> rank_ppr(std::span<const double> mass) {
@@ -45,6 +42,137 @@ std::vector<ScoredVertex> rank_ppr(std::span<const double> mass) {
               return a.vertex < b.vertex;
             });
   return ranked;
+}
+
+/// One fused engine run's inputs.
+struct LaneRun {
+  const partition::DistGraph& dg;
+  const comm::SyncStructure& sync;
+  const sim::Topology& topo;
+  const sim::CostParams& params;
+  const engine::EngineConfig& engine;
+  const ServeConfig& serve;
+  std::span<const graph::VertexId> lanes;
+};
+
+// The three lane families. Each names the query class its runs are
+// recorded as, its lane width, its cache shelf and key, the engine run
+// that fills one row per lane, and how one query is answered from its
+// lane's row — the one answer path for cache hits and engine runs.
+
+/// hop and sssp rows are keyed by source and share the lane width.
+struct SourceLanes {
+  static std::uint32_t width(const ServeConfig& c) { return c.batch_width; }
+  static ResultCache::SourceKey key(graph::VertexId source,
+                                    const ServeConfig& /*c*/,
+                                    std::uint64_t epoch) {
+    return {source, epoch};
+  }
+};
+
+struct HopLanes : SourceLanes {
+  using Row = std::vector<std::uint32_t>;
+  static constexpr QueryKind kClass = QueryKind::kBfsDist;
+  static constexpr auto kShelf = &ResultCache::hop;
+
+  static engine::RunStats run(const LaneRun& r, std::vector<Row>& rows) {
+    auto res =
+        algo::run_msbfs(r.dg, r.sync, r.topo, r.params, r.engine, r.lanes);
+    rows = std::move(res.dist);
+    return std::move(res.stats);
+  }
+
+  static void answer(const Query& q, const Row& row, Answer& a) {
+    if (q.kind == QueryKind::kBfsDist) {
+      const std::uint32_t d = row[q.target];
+      a.distance = d == algo::kInfDist ? kUnreachable : d;
+      return;
+    }
+    // k-hop neighborhood: member count plus an order-canonical digest
+    // (vertex ids ascending), so answers compare as single values.
+    std::uint64_t count = 0;
+    std::uint64_t digest = util::kFnv1aOffset;
+    for (graph::VertexId v = 0; v < row.size(); ++v) {
+      if (row[v] <= q.k) {
+        ++count;
+        digest = util::fnv1a64_value(v, digest);
+      }
+    }
+    a.khop_count = count;
+    a.khop_digest = digest;
+  }
+};
+
+/// Lane-batched exactly like hops: weighted min relaxation is just as
+/// order-independent, so distinct sources share one run.
+struct SsspLanes : SourceLanes {
+  using Row = std::vector<std::uint64_t>;
+  static constexpr QueryKind kClass = QueryKind::kSsspDist;
+  static constexpr auto kShelf = &ResultCache::sssp;
+
+  static engine::RunStats run(const LaneRun& r, std::vector<Row>& rows) {
+    auto res =
+        algo::run_mssssp(r.dg, r.sync, r.topo, r.params, r.engine, r.lanes);
+    rows = std::move(res.dist);
+    return std::move(res.stats);
+  }
+
+  static void answer(const Query& q, const Row& row, Answer& a) {
+    a.distance = row[q.target];
+  }
+};
+
+struct PprLanes {
+  using Row = std::vector<ScoredVertex>;
+  static constexpr QueryKind kClass = QueryKind::kPprTopK;
+  static constexpr auto kShelf = &ResultCache::ppr;
+
+  static std::uint32_t width(const ServeConfig& c) {
+    return c.ppr_batch_width;
+  }
+  static ResultCache::PprKey key(graph::VertexId seed, const ServeConfig& c,
+                                 std::uint64_t epoch) {
+    return {seed, std::bit_cast<std::uint64_t>(c.ppr_alpha),
+            std::bit_cast<std::uint64_t>(c.ppr_eps), epoch};
+  }
+
+  static engine::RunStats run(const LaneRun& r, std::vector<Row>& rows) {
+    auto res = algo::run_ppr_batch(r.dg, r.sync, r.topo, r.params, r.engine,
+                                   r.lanes, r.serve.ppr_alpha,
+                                   r.serve.ppr_eps);
+    rows.clear();
+    rows.reserve(r.lanes.size());
+    for (std::size_t i = 0; i < r.lanes.size(); ++i) {
+      rows.push_back(rank_ppr(res.mass[i]));
+    }
+    return std::move(res.stats);
+  }
+
+  static void answer(const Query& q, const Row& row, Answer& a) {
+    const std::size_t k = std::min<std::size_t>(q.k, row.size());
+    a.topk.assign(row.begin(), row.begin() + k);
+  }
+};
+
+/// Calls `fn` with the lane family that serves `kind`.
+template <typename Fn>
+decltype(auto) with_family(QueryKind kind, Fn&& fn) {
+  switch (kind) {
+    case QueryKind::kBfsDist:
+    case QueryKind::kKhopCount:
+      return fn(HopLanes{});
+    case QueryKind::kSsspDist:
+      return fn(SsspLanes{});
+    case QueryKind::kPprTopK:
+      break;
+  }
+  return fn(PprLanes{});
+}
+
+/// The class `kind`'s family records its runs as; queries of one class
+/// share lanes.
+QueryKind lane_class(QueryKind kind) {
+  return with_family(kind, []<typename F>(F) { return F::kClass; });
 }
 
 }  // namespace
@@ -111,10 +239,6 @@ ResultCache& BatchScheduler::cache_for(std::uint32_t tenant) {
   return caches_[home_for(tenant)];
 }
 
-const ResultCache& BatchScheduler::cache_of(std::uint32_t tenant) const {
-  return caches_[home_for(tenant)];
-}
-
 ResultCache::Stats BatchScheduler::cache_stats() const {
   ResultCache::Stats agg;
   for (const ResultCache& c : caches_) agg += c.stats();
@@ -144,55 +268,15 @@ void BatchScheduler::bump_epoch() {
   for (ResultCache& c : caches_) c.invalidate_stale(graph_epoch_);
 }
 
-void BatchScheduler::answer_from_dist(const Query& q,
-                                      std::span<const std::uint32_t> dist,
-                                      Answer& a) const {
-  if (q.kind == QueryKind::kBfsDist) {
-    const std::uint32_t d = dist[q.target];
-    a.distance = d == algo::kInfDist ? kUnreachable : d;
-    return;
-  }
-  // k-hop neighborhood: member count plus an order-canonical digest
-  // (vertex ids ascending), so answers compare as single values.
-  std::uint64_t count = 0;
-  std::uint64_t digest = util::kFnv1aOffset;
-  for (graph::VertexId v = 0; v < dist.size(); ++v) {
-    if (dist[v] <= q.k) {
-      ++count;
-      digest = util::fnv1a64_value(v, digest);
-    }
-  }
-  a.khop_count = count;
-  a.khop_digest = digest;
-}
-
 bool BatchScheduler::try_serve_from_cache(const Pending& p, Answer& a) {
   const Query& q = p.q;
   ResultCache& cache = cache_for(q.tenant);
-  switch (q.kind) {
-    case QueryKind::kBfsDist:
-    case QueryKind::kKhopCount: {
-      const auto* dist = cache.find_bfs(q.source, graph_epoch_);
-      if (dist == nullptr) return false;
-      answer_from_dist(q, *dist, a);
-      return true;
-    }
-    case QueryKind::kSsspDist: {
-      const auto* dist = cache.find_sssp(q.source, graph_epoch_);
-      if (dist == nullptr) return false;
-      a.distance = (*dist)[q.target];
-      return true;
-    }
-    case QueryKind::kPprTopK: {
-      const auto* ranked = cache.find_ppr(q.source, cfg_.ppr_alpha,
-                                          cfg_.ppr_eps, graph_epoch_);
-      if (ranked == nullptr) return false;
-      const std::size_t k = std::min<std::size_t>(q.k, ranked->size());
-      a.topk.assign(ranked->begin(), ranked->begin() + k);
-      return true;
-    }
-  }
-  return false;
+  return with_family(q.kind, [&]<typename F>(F) {
+    const auto* row =
+        (cache.*F::kShelf).find(F::key(q.source, cfg_, graph_epoch_));
+    if (row != nullptr) F::answer(q, *row, a);
+    return row != nullptr;
+  });
 }
 
 bool BatchScheduler::try_serve_degraded(const Pending& p, Answer& a) {
@@ -201,12 +285,12 @@ bool BatchScheduler::try_serve_degraded(const Pending& p, Answer& a) {
   // serving layer runs on. khop and ppr have no comparable bound, so
   // under brownout they stay cache-only (exact hit or queued).
   const Query& q = p.q;
-  const ResultCache& cache = cache_of(q.tenant);
+  const ResultCache& cache = cache_for(q.tenant);
   std::uint64_t ub = kUnreachable;
   if (q.kind == QueryKind::kBfsDist) {
-    ub = cache.hop_bound(q.source, q.target, graph_epoch_);
+    ub = cache.hop.bound(q.source, q.target, graph_epoch_);
   } else if (q.kind == QueryKind::kSsspDist) {
-    ub = cache.sssp_bound(q.source, q.target, graph_epoch_);
+    ub = cache.sssp.bound(q.source, q.target, graph_epoch_);
   }
   if (ub == kUnreachable) return false;
   a.distance = ub;
@@ -255,9 +339,8 @@ void BatchScheduler::finish_answer(const Pending& p, Answer& a,
   }
 }
 
-void BatchScheduler::note_rejection(std::uint32_t tenant, std::uint64_t id,
+void BatchScheduler::note_rejection(std::uint32_t tenant,
                                     RejectReason reason) {
-  (void)id;
   const auto idx = static_cast<std::size_t>(reason);
   ++report_.rejected;
   ++report_.rejected_by_reason[idx];
@@ -283,15 +366,14 @@ void BatchScheduler::reject_answer(const Pending& p, Answer& a,
   a.reject_reason = reason;
   a.reject_detail = std::move(detail);
   a.completed = clock_;
-  note_rejection(q.tenant, q.id, reason);
+  note_rejection(q.tenant, reason);
   flight().record(obs::FlightKind::kServeReject, static_cast<int>(q.tenant),
                   static_cast<std::int64_t>(q.id),
                   static_cast<std::int64_t>(reason), to_string(reason),
                   clock_.seconds());
 }
 
-void BatchScheduler::admit_until(sim::SimTime now,
-                                 std::span<const Query> queries,
+void BatchScheduler::admit_until(std::span<const Query> queries,
                                  std::size_t& next,
                                  std::vector<Answer>& answers) {
   // The admission-time deadline gate arms once the batch-time estimate
@@ -299,7 +381,7 @@ void BatchScheduler::admit_until(sim::SimTime now,
   // fused batch is rejected up front instead of expiring in the queue.
   const sim::SimTime est_service =
       cfg_.lifecycle.enabled ? batch_est_.value() : sim::SimTime::zero();
-  while (next < queries.size() && queries[next].arrival <= now) {
+  while (next < queries.size() && queries[next].arrival <= clock_) {
     const std::size_t idx = next++;
     const Query& q = queries[idx];
     Answer& a = answers[idx];
@@ -331,21 +413,13 @@ void BatchScheduler::admit_until(sim::SimTime now,
       d = admission_.admit(q, static_cast<std::uint32_t>(queue_.size()),
                            tenant_depth_[q.tenant], est_service);
     }
+    const Pending p{q, idx};
     if (!d.admitted) {
-      a.served = false;
-      a.reject_reason = d.reason;
-      a.reject_detail = std::move(d.detail);
-      a.completed = now;
       if (d.reason == RejectReason::kDeadlineInfeasible) {
         ++report_.lifecycle.infeasible;
         if (auto* c = counter("serve.lifecycle.infeasible")) c->inc();
       }
-      note_rejection(q.tenant, q.id, d.reason);
-      flight().record(obs::FlightKind::kServeReject,
-                      static_cast<int>(q.tenant),
-                      static_cast<std::int64_t>(q.id),
-                      static_cast<std::int64_t>(d.reason),
-                      to_string(d.reason), now.seconds());
+      reject_answer(p, a, d.reason, std::move(d.detail));
       continue;
     }
 
@@ -354,17 +428,16 @@ void BatchScheduler::admit_until(sim::SimTime now,
     flight().record(obs::FlightKind::kServeAdmit, static_cast<int>(q.tenant),
                     static_cast<std::int64_t>(q.id),
                     static_cast<std::int64_t>(q.kind), "admit",
-                    now.seconds());
+                    clock_.seconds());
     if (auto* c = counter("serve.admitted")) c->inc();
     if (auto* c =
             counter("serve.tenant" + std::to_string(q.tenant) + ".admitted"))
       c->inc();
 
-    Pending p{q, idx};
     if (try_serve_from_cache(p, a)) {
-      // The serving thread is free at `now`; a cache hit completes
+      // The serving thread is free at the clock; a cache hit completes
       // without touching the engine.
-      finish_answer(p, a, now, /*from_cache=*/true);
+      finish_answer(p, a, clock_, /*from_cache=*/true);
       continue;
     }
     queue_.push_back(p);
@@ -492,30 +565,9 @@ void BatchScheduler::maybe_reshard() {
   if (auto* c = counter("serve.reshard.migrations")) c->inc();
 }
 
-void BatchScheduler::dispatch_batch(std::vector<Answer>& answers) {
-  const auto dispatch_scope =
-      obs::Profiler::global().scope("serve.dispatch_batch");
-  // Deadline-aware dispatch order: priority class first (0 most
-  // urgent), earliest absolute deadline within a class, query id as
-  // the deterministic tie-breaker.
-  std::sort(queue_.begin(), queue_.end(),
-            [](const Pending& a, const Pending& b) {
-              if (a.q.priority != b.q.priority)
-                return a.q.priority < b.q.priority;
-              if (a.q.deadline != b.q.deadline)
-                return a.q.deadline < b.q.deadline;
-              return a.q.id < b.q.id;
-            });
-
-  // Dispatch boundary = the robustness layer's safe point: expire /
-  // shed / degrade first, then consider a serving-state migration.
-  apply_overload_controls(answers);
-  if (queue_.empty()) return;
-  if (reshard_.enabled()) maybe_reshard();
-
-  const Query& head = queue_.front().q;
-
-  // Coalesce every queued query the head's engine run can answer.
+template <typename F>
+void BatchScheduler::dispatch_lanes(std::vector<Answer>& answers) {
+  // Coalesce every queued query of the head's lane family.
   std::vector<graph::VertexId> lanes;
   std::vector<std::size_t> taken;  // indices into queue_
   const auto lane_of = [&](graph::VertexId v) -> std::size_t {
@@ -524,38 +576,14 @@ void BatchScheduler::dispatch_batch(std::vector<Answer>& answers) {
     }
     return lanes.size();
   };
-  if (is_hop_query(head.kind)) {
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      const Query& q = queue_[i].q;
-      if (!is_hop_query(q.kind)) continue;
-      if (lane_of(q.source) == lanes.size()) {
-        if (lanes.size() >= cfg_.batch_width) continue;
-        lanes.push_back(q.source);
-      }
-      taken.push_back(i);
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    const Query& q = queue_[i].q;
+    if (lane_class(q.kind) != F::kClass) continue;
+    if (lane_of(q.source) == lanes.size()) {
+      if (lanes.size() >= F::width(cfg_)) continue;
+      lanes.push_back(q.source);
     }
-  } else if (head.kind == QueryKind::kPprTopK) {
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      const Query& q = queue_[i].q;
-      if (q.kind != QueryKind::kPprTopK) continue;
-      if (lane_of(q.source) == lanes.size()) {
-        if (lanes.size() >= cfg_.ppr_batch_width) continue;
-        lanes.push_back(q.source);
-      }
-      taken.push_back(i);
-    }
-  } else {
-    // sssp: lane-batched exactly like msbfs (weighted min relaxation is
-    // just as order-independent), so distinct sources share one run.
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      const Query& q = queue_[i].q;
-      if (q.kind != QueryKind::kSsspDist) continue;
-      if (lane_of(q.source) == lanes.size()) {
-        if (lanes.size() >= cfg_.batch_width) continue;
-        lanes.push_back(q.source);
-      }
-      taken.push_back(i);
-    }
+    taken.push_back(i);
   }
 
   // Shared epilogue: drop `taken` from the queue (order of the
@@ -582,32 +610,9 @@ void BatchScheduler::dispatch_batch(std::vector<Answer>& answers) {
   const sim::SimTime start = clock_;
   const LifecyclePolicy& lc = cfg_.lifecycle;
   engine::RunStats stats;
-  std::vector<std::vector<std::uint32_t>> hop_dist;
-  std::vector<std::vector<ScoredVertex>> ppr_ranked;
-  std::vector<std::vector<std::uint64_t>> sssp_dist;
+  std::vector<typename F::Row> rows;
   const auto run_once = [&](const engine::EngineConfig& ecfg) {
-    hop_dist.clear();
-    ppr_ranked.clear();
-    sssp_dist.clear();
-    engine::RunStats s;
-    if (is_hop_query(head.kind)) {
-      auto res = algo::run_msbfs(dg_, sync_, topo_, params_, ecfg, lanes);
-      s = std::move(res.stats);
-      hop_dist = std::move(res.dist);
-    } else if (head.kind == QueryKind::kPprTopK) {
-      auto res = algo::run_ppr_batch(dg_, sync_, topo_, params_, ecfg, lanes,
-                                     cfg_.ppr_alpha, cfg_.ppr_eps);
-      s = std::move(res.stats);
-      ppr_ranked.reserve(lanes.size());
-      for (std::size_t i = 0; i < lanes.size(); ++i) {
-        ppr_ranked.push_back(rank_ppr(res.mass[i]));
-      }
-    } else {
-      auto res = algo::run_mssssp(dg_, sync_, topo_, params_, ecfg, lanes);
-      s = std::move(res.stats);
-      sssp_dist = std::move(res.dist);
-    }
-    return s;
+    return F::run({dg_, sync_, topo_, params_, ecfg, cfg_, lanes}, rows);
   };
 
   bool ran = false;
@@ -707,22 +712,15 @@ void BatchScheduler::dispatch_batch(std::vector<Answer>& answers) {
   }
   for (std::size_t i = 0; i < lanes.size(); ++i) {
     for (const auto& [home, owner] : sinks[i]) {
-      if (is_hop_query(head.kind)) {
-        caches_[home].put_bfs(lanes[i], graph_epoch_, hop_dist[i], owner);
-      } else if (head.kind == QueryKind::kPprTopK) {
-        caches_[home].put_ppr(lanes[i], cfg_.ppr_alpha, cfg_.ppr_eps,
-                              graph_epoch_, ppr_ranked[i], owner);
-      } else {
-        caches_[home].put_sssp(lanes[i], graph_epoch_, sssp_dist[i],
-                               owner);
-      }
+      ResultCache& cache = caches_[home];
+      cache.put(cache.*F::kShelf, F::key(lanes[i], cfg_, graph_epoch_),
+                rows[i], owner);
     }
   }
 
   if (cfg_.record_batches) {
     BatchRecord rec;
-    rec.klass = head.kind == QueryKind::kKhopCount ? QueryKind::kBfsDist
-                                                   : head.kind;
+    rec.klass = F::kClass;
     rec.lane_sources = lanes;
     rec.rounds = stats.global_rounds;
     rec.start = start;
@@ -736,20 +734,37 @@ void BatchScheduler::dispatch_batch(std::vector<Answer>& answers) {
   for (const std::size_t i : taken) {
     const Pending& p = queue_[i];
     Answer& a = answers[p.out_index];
-    if (is_hop_query(p.q.kind)) {
-      answer_from_dist(p.q, hop_dist[lane_of(p.q.source)], a);
-    } else if (p.q.kind == QueryKind::kPprTopK) {
-      const auto& ranked = ppr_ranked[lane_of(p.q.source)];
-      const std::size_t k = std::min<std::size_t>(p.q.k, ranked.size());
-      a.topk.assign(ranked.begin(), ranked.begin() + k);
-    } else {
-      a.distance = sssp_dist[lane_of(p.q.source)][p.q.target];
-    }
+    F::answer(p.q, rows[lane_of(p.q.source)], a);
     finish_answer(p, a, finish, /*from_cache=*/false);
     --tenant_depth_[p.q.tenant];
   }
 
   drop_taken();
+}
+
+void BatchScheduler::dispatch_batch(std::vector<Answer>& answers) {
+  const auto dispatch_scope =
+      obs::Profiler::global().scope("serve.dispatch_batch");
+  // Deadline-aware dispatch order: priority class first (0 most
+  // urgent), earliest absolute deadline within a class, query id as
+  // the deterministic tie-breaker.
+  std::sort(queue_.begin(), queue_.end(),
+            [](const Pending& a, const Pending& b) {
+              if (a.q.priority != b.q.priority)
+                return a.q.priority < b.q.priority;
+              if (a.q.deadline != b.q.deadline)
+                return a.q.deadline < b.q.deadline;
+              return a.q.id < b.q.id;
+            });
+
+  // Dispatch boundary = the robustness layer's safe point: expire /
+  // shed / degrade first, then consider a serving-state migration.
+  apply_overload_controls(answers);
+  if (queue_.empty()) return;
+  if (reshard_.enabled()) maybe_reshard();
+
+  with_family(queue_.front().q.kind,
+              [&]<typename F>(F) { dispatch_lanes<F>(answers); });
 }
 
 std::vector<Answer> BatchScheduler::run(std::span<const Query> queries) {
@@ -760,7 +775,7 @@ std::vector<Answer> BatchScheduler::run(std::span<const Query> queries) {
       // Idle: jump to the next arrival (the clock never runs backward).
       clock_ = sim::max(clock_, queries[next].arrival);
     }
-    admit_until(clock_, queries, next, answers);
+    admit_until(queries, next, answers);
     if (queue_.empty()) continue;  // everything rejected or cache-served
     dispatch_batch(answers);
   }

@@ -140,19 +140,21 @@ struct BatchRecord {
 /// + queue bounds), answered from the result cache when possible, and
 /// otherwise queued. The drain loop repeatedly takes the
 /// (priority, deadline, id)-least pending query and coalesces every
-/// compatible queued query into one fused engine run:
+/// queued query of the same lane family into one fused engine run:
 ///
-///  * bfs-dist + khop queries share msbfs lanes (up to batch_width
-///    distinct sources per run; every query on a chosen source rides
-///    along);
-///  * ppr-topk queries share ppr-batch lanes (up to ppr_batch_width
-///    distinct seeds);
-///  * sssp-dist queries share mssssp lanes (up to batch_width distinct
-///    sources; weighted min relaxation batches exactly like hops).
+///  * hop — bfs-dist + khop queries share msbfs lanes (up to
+///    batch_width distinct sources per run; every query on a chosen
+///    source rides along);
+///  * sssp — sssp-dist queries share mssssp lanes (up to batch_width
+///    distinct sources; weighted min relaxation batches exactly like
+///    hops);
+///  * ppr — ppr-topk queries share ppr-batch lanes (up to
+///    ppr_batch_width distinct seeds).
 ///
 /// Batch completion advances the clock by the run's simulated time;
-/// per-lane result arrays feed the landmark/PPR caches so repeat
-/// sources are served without the engine.
+/// each lane's row lands on its family's cache shelf, and a query is
+/// answered from its lane's row the same way whether the row came from
+/// the cache or from the run.
 ///
 /// Three optional robustness layers hook the dispatch boundary
 /// (DESIGN.md §16), all deterministic and default-off:
@@ -197,13 +199,10 @@ class BatchScheduler {
   [[nodiscard]] const std::vector<engine::RunStats>& engine_stats() const {
     return engine_stats_;
   }
-  [[nodiscard]] std::uint64_t graph_epoch() const { return graph_epoch_; }
   [[nodiscard]] const BrownoutController& brownout() const {
     return brownout_;
   }
   [[nodiscard]] const ReshardManager& resharder() const { return reshard_; }
-  /// The shard-home cache `tenant`'s queries are served from.
-  [[nodiscard]] const ResultCache& cache_of(std::uint32_t tenant) const;
 
   /// Schema-versioned, byte-deterministic JSON serving report. Passing
   /// a non-negative `host_wall_ms` appends a `"nondeterministic":true`
@@ -217,9 +216,14 @@ class BatchScheduler {
     std::size_t out_index = 0;  ///< slot in the current run()'s answers
   };
 
-  void admit_until(sim::SimTime now, std::span<const Query> queries,
-                   std::size_t& next, std::vector<Answer>& answers);
+  /// Admits every query that has arrived by the clock.
+  void admit_until(std::span<const Query> queries, std::size_t& next,
+                   std::vector<Answer>& answers);
   void dispatch_batch(std::vector<Answer>& answers);
+  /// Coalesces the queue's lane family `F` (the head's) into one fused
+  /// engine run and answers every query it took.
+  template <typename F>
+  void dispatch_lanes(std::vector<Answer>& answers);
   /// Answers `p` from its home cache; false when the entry is absent.
   bool try_serve_from_cache(const Pending& p, Answer& a);
   /// Brownout tier >= 1 approximation: landmark triangle bound for s-t
@@ -227,15 +231,12 @@ class BatchScheduler {
   bool try_serve_degraded(const Pending& p, Answer& a);
   void finish_answer(const Pending& p, Answer& a, sim::SimTime completed,
                      bool from_cache);
-  /// Post-admission rejection (expiry / shed / engine failure): the
-  /// query was admitted but never served; counted into the rejection
-  /// breakdown so no query is ever silently dropped.
+  /// Rejection at admission or after it (expiry / shed / engine
+  /// failure): counted into the rejection breakdown so no query is
+  /// ever silently dropped.
   void reject_answer(const Pending& p, Answer& a, RejectReason reason,
                      std::string detail);
-  void note_rejection(std::uint32_t tenant, std::uint64_t id,
-                      RejectReason reason);
-  void answer_from_dist(const Query& q, std::span<const std::uint32_t> dist,
-                        Answer& a) const;
+  void note_rejection(std::uint32_t tenant, RejectReason reason);
   /// Applies lifecycle expiry and brownout shedding/degrading to the
   /// sorted queue at a dispatch boundary; removed entries are answered
   /// or rejected in place.
@@ -244,6 +245,7 @@ class BatchScheduler {
   /// boundary (charging the simulated transfer time).
   void maybe_reshard();
 
+  /// The shard-home cache `tenant`'s queries are served from.
   [[nodiscard]] ResultCache& cache_for(std::uint32_t tenant);
   [[nodiscard]] std::uint32_t home_for(std::uint32_t tenant) const;
   /// Fault-free twin config retries and hedges re-dispatch against.

@@ -607,6 +607,223 @@ TEST(Tracer, DroppedSpansSurfaceInChromeTraceAndRunReport) {
   EXPECT_DOUBLE_EQ(run.find("trace.dropped_spans")->num_or(-1), 3.0);
 }
 
+// ---- fault and comm counters in the run report ---------------------------
+
+/// Every counter and ledger field set to a distinct nonzero value, each
+/// written by name, so a report pin sees any key, gate or order change.
+fault::FaultStats all_nonzero_faults() {
+  fault::FaultStats f;
+  f.faults_injected = 1;
+  f.device_crashes = 2;
+  f.messages_dropped = 3;
+  f.retries = 4;
+  f.retransmitted_bytes = 5;
+  f.messages_corrupted = 6;
+  f.corrupt_applied = 7;
+  f.duplicates_injected = 8;
+  f.duplicates_discarded = 9;
+  f.reorders_injected = 10;
+  f.reorder_buffered = 11;
+  f.fence_rejects = 12;
+  f.partition_deferred = 13;
+  f.partition_evictions = 14;
+  f.checkpoints_taken = 15;
+  f.checkpoint_bytes = 16;
+  f.rollbacks = 17;
+  f.degraded_recoveries = 18;
+  f.reexecuted_rounds = 19;
+  f.evicted_devices = 20;
+  f.rehomed_masters = 21;
+  f.migrated_vertices = 22;
+  f.straggler_suspicions = 23;
+  f.heartbeats_observed = 24;
+  f.gray_alerts = 25;
+  f.gray_migrations = 26;
+  f.gray_migrated_masters = 27;
+  f.gray_migrated_bytes = 28;
+  f.gray_evictions = 29;
+  f.spill_bytes = 30;
+  f.sdc_injected = 31;
+  f.sdc_detected = 32;
+  f.sdc_repaired = 33;
+  f.sdc_audits = 34;
+  f.sdc_escalations = 35;
+  f.checkpoint_time = sim::SimTime{0.5};
+  f.recovery_time = sim::SimTime{0.25};
+  f.straggler_delay = sim::SimTime{0.125};
+  f.degrade_delay = sim::SimTime{1.5};
+  f.spill_stall = sim::SimTime{2.5};
+  f.mitigation_time = sim::SimTime{3.5};
+  f.detection_latency = sim::SimTime{4.5};
+  f.termination_clean = false;
+  f.pairs.push_back({.from = 1,
+                     .to = 2,
+                     .dropped = 41,
+                     .corrupted = 42,
+                     .duplicated = 43,
+                     .reordered = 44,
+                     .deferred = 45,
+                     .fenced = 46});
+  f.degrade.push_back({.device = 3,
+                       .degrade_delay = sim::SimTime{5.5},
+                       .spill_stall = sim::SimTime{6.5},
+                       .spill_bytes = 51,
+                       .pressure_peak_bytes = 52,
+                       .peak_score = 7.25,
+                       .migrations_off = 53,
+                       .masters_moved_off = 54});
+  f.sdc.push_back({.device = 2,
+                   .label_flips = 61,
+                   .kernel_events = 62,
+                   .checkpoint_flips = 63,
+                   .digest_violations = 64,
+                   .invariant_violations = 65,
+                   .checkpoint_violations = 66,
+                   .repairs_mirror = 67,
+                   .repairs_rollback = 68,
+                   .repairs_restart = 69,
+                   .quarantined_shards = 70,
+                   .escalations = 71,
+                   .max_detect_lag_rounds = 72});
+  return f;
+}
+
+/// The `key` member of one run report, as written.
+std::string report_member(const engine::RunStats& st, const std::string& key,
+                          const std::string& next) {
+  obs::JsonWriter w;
+  obs::write_run_json(w, obs::ReportMeta{}, st);
+  const std::string& s = w.str();
+  const std::size_t from = s.find("\"" + key + "\":") + key.size() + 3;
+  return s.substr(from, s.find(",\"" + next + "\":", from) - from);
+}
+
+std::string faults_member(const fault::FaultStats& f) {
+  engine::RunStats st;
+  st.faults = f;
+  return report_member(st, "faults", "per_device");
+}
+
+TEST(FaultReportGolden, EveryCounterKeyGateAndOrderIsPinned) {
+  EXPECT_EQ(
+      faults_member(all_nonzero_faults()),
+      "{\"faults_injected\":1,\"device_crashes\":2,\"messages_dropped\":3,"
+      "\"retries\":4,\"retransmitted_bytes\":5,\"checkpoints_taken\":15,"
+      "\"checkpoint_bytes\":16,\"rollbacks\":17,\"degraded_recoveries\":18,"
+      "\"reexecuted_rounds\":19,\"evicted_devices\":20,"
+      "\"rehomed_masters\":21,\"migrated_vertices\":22,"
+      "\"straggler_suspicions\":23,\"heartbeats_observed\":24,"
+      "\"checkpoint_time_s\":0.5,\"recovery_time_s\":0.25,"
+      "\"straggler_delay_s\":0.125,\"detection_latency_s\":4.5,"
+      "\"termination_clean\":false,\"messages_corrupted\":6,"
+      "\"corrupt_applied\":7,\"duplicates_injected\":8,"
+      "\"duplicates_discarded\":9,\"reorders_injected\":10,"
+      "\"reorder_buffered\":11,\"fence_rejects\":12,"
+      "\"partition_deferred\":13,\"partition_evictions\":14,"
+      "\"gray_alerts\":25,\"gray_migrations\":26,"
+      "\"gray_migrated_masters\":27,\"gray_migrated_bytes\":28,"
+      "\"gray_evictions\":29,\"spill_bytes\":30,\"degrade_delay_s\":1.5,"
+      "\"spill_stall_s\":2.5,\"mitigation_time_s\":3.5,\"sdc_injected\":31,"
+      "\"sdc_detected\":32,\"sdc_repaired\":33,\"sdc_audits\":34,"
+      "\"sdc_escalations\":35,\"degrade\":[{\"device\":3,"
+      "\"degrade_delay_s\":5.5,\"spill_stall_s\":6.5,\"spill_bytes\":51,"
+      "\"pressure_peak_bytes\":52,\"peak_score\":7.25,"
+      "\"migrations_off\":53,\"masters_moved_off\":54}],\"sdc\":[{"
+      "\"device\":2,\"label_flips\":61,\"kernel_events\":62,"
+      "\"checkpoint_flips\":63,\"digest_violations\":64,"
+      "\"invariant_violations\":65,\"checkpoint_violations\":66,"
+      "\"repairs_mirror\":67,\"repairs_rollback\":68,"
+      "\"repairs_restart\":69,\"quarantined_shards\":70,"
+      "\"escalations\":71,\"max_detect_lag_rounds\":72}],"
+      "\"pair_anomalies\":[{\"from\":1,\"to\":2,\"dropped\":41,"
+      "\"corrupted\":42,\"duplicated\":43,\"reordered\":44,"
+      "\"deferred\":45,\"fenced\":46}]}");
+
+  const std::string zero =
+      "{\"faults_injected\":0,\"device_crashes\":0,\"messages_dropped\":0,"
+      "\"retries\":0,\"retransmitted_bytes\":0,\"checkpoints_taken\":0,"
+      "\"checkpoint_bytes\":0,\"rollbacks\":0,\"degraded_recoveries\":0,"
+      "\"reexecuted_rounds\":0,\"evicted_devices\":0,"
+      "\"rehomed_masters\":0,\"migrated_vertices\":0,"
+      "\"straggler_suspicions\":0,\"heartbeats_observed\":0,"
+      "\"checkpoint_time_s\":0,\"recovery_time_s\":0,"
+      "\"straggler_delay_s\":0,\"detection_latency_s\":0,"
+      "\"termination_clean\":true";
+  EXPECT_EQ(faults_member(fault::FaultStats{}), zero + "}");
+
+  // The audit-pass count shows only once something was injected.
+  fault::FaultStats audits;
+  audits.sdc_audits = 9;
+  audits.sdc_detected = 2;
+  EXPECT_EQ(faults_member(audits), zero + "}");
+  audits.sdc_injected = 1;
+  EXPECT_EQ(faults_member(audits),
+            zero + ",\"sdc_injected\":1,\"sdc_detected\":2,"
+                   "\"sdc_repaired\":0,\"sdc_audits\":9}");
+
+  // masters_moved_off and max_detect_lag_rounds ride along with an
+  // entry that shows; alone they do not make it show.
+  fault::FaultStats riders;
+  riders.degrade_for(1).masters_moved_off = 5;
+  riders.sdc_for(0).max_detect_lag_rounds = 3;
+  riders.pair(0, 1);
+  EXPECT_EQ(faults_member(riders),
+            zero + ",\"degrade\":[],\"sdc\":[],\"pair_anomalies\":[]}");
+
+  fault::FaultStats twice = all_nonzero_faults();
+  twice += twice;
+  EXPECT_EQ(
+      faults_member(twice),
+      "{\"faults_injected\":2,\"device_crashes\":4,\"messages_dropped\":6,"
+      "\"retries\":8,\"retransmitted_bytes\":10,\"checkpoints_taken\":30,"
+      "\"checkpoint_bytes\":32,\"rollbacks\":34,\"degraded_recoveries\":36,"
+      "\"reexecuted_rounds\":38,\"evicted_devices\":40,"
+      "\"rehomed_masters\":42,\"migrated_vertices\":44,"
+      "\"straggler_suspicions\":46,\"heartbeats_observed\":48,"
+      "\"checkpoint_time_s\":1,\"recovery_time_s\":0.5,"
+      "\"straggler_delay_s\":0.25,\"detection_latency_s\":9,"
+      "\"termination_clean\":false,\"messages_corrupted\":12,"
+      "\"corrupt_applied\":14,\"duplicates_injected\":16,"
+      "\"duplicates_discarded\":18,\"reorders_injected\":20,"
+      "\"reorder_buffered\":22,\"fence_rejects\":24,"
+      "\"partition_deferred\":26,\"partition_evictions\":28,"
+      "\"gray_alerts\":50,\"gray_migrations\":52,"
+      "\"gray_migrated_masters\":54,\"gray_migrated_bytes\":56,"
+      "\"gray_evictions\":58,\"spill_bytes\":60,\"degrade_delay_s\":3,"
+      "\"spill_stall_s\":5,\"mitigation_time_s\":7,\"sdc_injected\":62,"
+      "\"sdc_detected\":64,\"sdc_repaired\":66,\"sdc_audits\":68,"
+      "\"sdc_escalations\":70,\"degrade\":[{\"device\":3,"
+      "\"degrade_delay_s\":11,\"spill_stall_s\":13,\"spill_bytes\":102,"
+      "\"pressure_peak_bytes\":52,\"peak_score\":7.25,"
+      "\"migrations_off\":106,\"masters_moved_off\":108}],\"sdc\":[{"
+      "\"device\":2,\"label_flips\":122,\"kernel_events\":124,"
+      "\"checkpoint_flips\":126,\"digest_violations\":128,"
+      "\"invariant_violations\":130,\"checkpoint_violations\":132,"
+      "\"repairs_mirror\":134,\"repairs_rollback\":136,"
+      "\"repairs_restart\":138,\"quarantined_shards\":140,"
+      "\"escalations\":142,\"max_detect_lag_rounds\":72}],"
+      "\"pair_anomalies\":[{\"from\":1,\"to\":2,\"dropped\":82,"
+      "\"corrupted\":84,\"duplicated\":86,\"reordered\":88,"
+      "\"deferred\":90,\"fenced\":92}]}");
+
+  engine::RunStats st;
+  st.comm.device_to_host_bytes = 1;
+  st.comm.host_to_host_bytes = 2;
+  st.comm.host_to_device_bytes = 4;
+  st.comm.messages = 8;
+  st.comm.reduce_values = 16;
+  st.comm.broadcast_values = 32;
+  st.comm.retransmitted_messages = 64;
+  st.comm.retransmitted_bytes = 128;
+  st.comm += st.comm;
+  EXPECT_EQ(report_member(st, "comm", "faults"),
+            "{\"device_to_host_bytes\":2,\"host_to_host_bytes\":4,"
+            "\"host_to_device_bytes\":8,\"messages\":16,"
+            "\"reduce_values\":32,\"broadcast_values\":64,"
+            "\"retransmitted_messages\":128,\"retransmitted_bytes\":256,"
+            "\"total_volume_bytes\":10}");
+}
+
 // ---- bench ReportLog ----------------------------------------------------
 
 TEST(Report, ReportLogCreatesMissingReportDir) {

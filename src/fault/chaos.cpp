@@ -18,11 +18,9 @@ namespace {
 /// tie goes to side A, matching FaultEvent::host_mask semantics on the
 /// equal-devices-per-host topologies the harness uses) contains host 0.
 bool minority_has_host0(std::uint64_t m, int num_hosts) {
-  const std::uint64_t all =
-      num_hosts >= 64 ? ~0ULL : ((1ULL << num_hosts) - 1);
   const int pa = std::popcount(m);
   const std::uint64_t minority =
-      pa <= num_hosts - pa ? m : (~m & all);
+      pa <= num_hosts - pa ? m : (~m & all_hosts_mask(num_hosts));
   return (minority & 1ULL) != 0;
 }
 
@@ -32,14 +30,28 @@ bool minority_has_host0(std::uint64_t m, int num_hosts) {
 /// guarantees every generated plan leaves survivors to re-home onto —
 /// even when several partition windows overlap.
 std::uint64_t random_side_mask(sim::Rng& rng, int num_hosts) {
-  const std::uint64_t all =
-      num_hosts >= 64 ? ~0ULL : ((1ULL << num_hosts) - 1);
+  const std::uint64_t all = all_hosts_mask(num_hosts);
   std::uint64_t m = 0;
   do {
     m = rng.next() & all;
   } while (m == 0 || m == all || minority_has_host0(m, num_hosts));
   return m;
 }
+
+/// The kinds random plans draw from, in draw order, with the smallest
+/// cluster each is drawn on (a loss never picks device 0).
+struct ChaosKind {
+  FaultKind kind;
+  int min_devices = 0;
+  int min_hosts = 0;
+};
+constexpr ChaosKind kChaosOrder[] = {
+    {FaultKind::kMessageDrop},       {FaultKind::kMsgCorrupt},
+    {FaultKind::kMsgDuplicate},      {FaultKind::kMsgReorder},
+    {FaultKind::kNetPartition, 0, 2}, {FaultKind::kStraggler, 1, 0},
+    {FaultKind::kDeviceLoss, 2, 0},   {FaultKind::kDeviceDegrade, 2, 0},
+    {FaultKind::kLinkDegrade, 0, 2},  {FaultKind::kMemoryPressure, 2, 0},
+};
 
 /// Probability cap for drop/corrupt/duplicate/reorder events.
 constexpr double kMaxAnomalyProb = 0.3;
@@ -51,27 +63,17 @@ FaultPlan generate(std::uint64_t stream, std::uint64_t plan_seed,
   plan.seed = plan_seed;
 
   std::vector<FaultKind> kinds;
-  if (spec.allow_drop) kinds.push_back(FaultKind::kMessageDrop);
-  if (spec.allow_corrupt) kinds.push_back(FaultKind::kMsgCorrupt);
-  if (spec.allow_duplicate) kinds.push_back(FaultKind::kMsgDuplicate);
-  if (spec.allow_reorder) kinds.push_back(FaultKind::kMsgReorder);
-  if (spec.allow_partition && spec.num_hosts >= 2) {
-    kinds.push_back(FaultKind::kNetPartition);
+  std::size_t drawable = 0;
+  for (const ChaosKind& c : kChaosOrder) {
+    if (!spec.kinds.contains(c.kind)) continue;
+    ++drawable;
+    if (spec.num_devices >= c.min_devices && spec.num_hosts >= c.min_hosts) {
+      kinds.push_back(c.kind);
+    }
   }
-  if (spec.allow_straggler && spec.num_devices >= 1) {
-    kinds.push_back(FaultKind::kStraggler);
-  }
-  if (spec.allow_loss && spec.num_devices >= 2) {
-    kinds.push_back(FaultKind::kDeviceLoss);
-  }
-  if (spec.allow_degrade && spec.num_devices >= 2) {
-    kinds.push_back(FaultKind::kDeviceDegrade);
-  }
-  if (spec.allow_link_degrade && spec.num_hosts >= 2) {
-    kinds.push_back(FaultKind::kLinkDegrade);
-  }
-  if (spec.allow_pressure && spec.num_devices >= 2) {
-    kinds.push_back(FaultKind::kMemoryPressure);
+  if (drawable != spec.kinds.size()) {
+    throw std::invalid_argument("chaos: ChaosSpec::kinds names a kind "
+                                "random plans never draw");
   }
   if (kinds.empty()) return plan;
 
@@ -81,6 +83,12 @@ FaultPlan generate(std::uint64_t stream, std::uint64_t plan_seed,
       lo + static_cast<int>(rng.bounded(static_cast<std::uint64_t>(
                hi - lo + 1)));
   const double h = std::max(spec.horizon.seconds(), 1e-9);
+  // Each draw is its own statement: the order in which a call's
+  // arguments are evaluated is up to the compiler, and every compiler
+  // must build the same plan for a seed.
+  const auto draw = [&](int count) {
+    return static_cast<int>(rng.bounded(static_cast<std::uint64_t>(count)));
+  };
   for (int i = 0; i < n; ++i) {
     const FaultKind k = kinds[rng.bounded(kinds.size())];
     const sim::SimTime at{h * 0.8 * rng.uniform()};
@@ -104,23 +112,22 @@ FaultPlan generate(std::uint64_t stream, std::uint64_t plan_seed,
       case FaultKind::kNetPartition:
         plan.partition_hosts(random_side_mask(rng, spec.num_hosts), at, dur);
         break;
-      case FaultKind::kStraggler:
-        plan.straggle(
-            static_cast<int>(rng.bounded(
-                static_cast<std::uint64_t>(spec.num_devices))),
-            at, dur, 1.5 + 3.0 * rng.uniform());
+      case FaultKind::kStraggler: {
+        const double slowdown = 1.5 + 3.0 * rng.uniform();
+        plan.straggle(draw(spec.num_devices), at, dur, slowdown);
         break;
-      case FaultKind::kDeviceLoss:
+      }
+      case FaultKind::kDeviceLoss: {
         // Late in the run, and never device 0 (keep a survivor with
         // the conventional default source / master tie-breaks).
-        plan.lose_device(
-            1 + static_cast<int>(rng.bounded(static_cast<std::uint64_t>(
-                    spec.num_devices - 1))),
-            sim::SimTime{h * (0.3 + 0.5 * rng.uniform())});
+        const sim::SimTime late{h * (0.3 + 0.5 * rng.uniform())};
+        plan.lose_device(1 + draw(spec.num_devices - 1), late);
         break;
-      case FaultKind::kDeviceDegrade: {
+      }
+      case FaultKind::kDeviceDegrade:
+      case FaultKind::kMemoryPressure: {
         // Gray failures must be long and strong to be worth mitigating:
-        // the window starts early and covers 40-80% of the horizon, the
+        // the window starts early and covers 40-80% of the horizon, a
         // slowdown is well past any straggler the detector tolerates,
         // and half the windows ramp in/out so onset detection latency
         // is exercised. Ramps stay within the window by construction.
@@ -130,37 +137,26 @@ FaultPlan generate(std::uint64_t stream, std::uint64_t plan_seed,
         const sim::SimTime ramp =
             ramped ? gdur * (0.05 + 0.10 * rng.uniform())
                    : sim::SimTime::zero();
-        plan.degrade_device(
-            static_cast<int>(rng.bounded(
-                static_cast<std::uint64_t>(spec.num_devices))),
-            gat, gdur, 4.0 + 4.0 * rng.uniform(), ramp, ramp);
+        const bool slow = k == FaultKind::kDeviceDegrade;
+        const double severity =
+            slow ? 4.0 + 4.0 * rng.uniform() : 0.3 + 0.6 * rng.uniform();
+        const int device = draw(spec.num_devices);
+        if (slow) {
+          plan.degrade_device(device, gat, gdur, severity, ramp, ramp);
+        } else {
+          plan.pressure_memory(device, gat, gdur, severity, ramp, ramp);
+        }
         break;
       }
       case FaultKind::kLinkDegrade: {
-        const int host =
-            static_cast<int>(rng.bounded(
-                static_cast<std::uint64_t>(spec.num_hosts)));
-        int peer =
-            static_cast<int>(rng.bounded(
-                static_cast<std::uint64_t>(spec.num_hosts - 1)));
+        const int host = draw(spec.num_hosts);
+        int peer = draw(spec.num_hosts - 1);
         if (peer >= host) ++peer;
-        plan.degrade_link(host, peer, sim::SimTime{h * 0.3 * rng.uniform()},
-                          sim::SimTime{h * (0.4 + 0.4 * rng.uniform())},
-                          2.0 + 4.0 * rng.uniform(),
-                          1.0 + 3.0 * rng.uniform());
-        break;
-      }
-      case FaultKind::kMemoryPressure: {
-        const sim::SimTime pat{h * 0.3 * rng.uniform()};
-        const sim::SimTime pdur{h * (0.4 + 0.4 * rng.uniform())};
-        const bool ramped = (rng.next() & 1ULL) != 0;
-        const sim::SimTime ramp =
-            ramped ? pdur * (0.05 + 0.10 * rng.uniform())
-                   : sim::SimTime::zero();
-        plan.pressure_memory(
-            static_cast<int>(rng.bounded(
-                static_cast<std::uint64_t>(spec.num_devices))),
-            pat, pdur, 0.3 + 0.6 * rng.uniform(), ramp, ramp);
+        const double latency = 1.0 + 3.0 * rng.uniform();
+        const double slowdown = 2.0 + 4.0 * rng.uniform();
+        const sim::SimTime ldur{h * (0.4 + 0.4 * rng.uniform())};
+        const sim::SimTime lat{h * 0.3 * rng.uniform()};
+        plan.degrade_link(host, peer, lat, ldur, slowdown, latency);
         break;
       }
       default:

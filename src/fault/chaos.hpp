@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <string_view>
 
@@ -23,31 +24,26 @@ struct ChaosSpec {
   sim::SimTime horizon = sim::SimTime::micros(500.0);
   int min_events = 1;
   int max_events = 5;
-  bool allow_drop = true;
-  bool allow_corrupt = true;
-  bool allow_duplicate = true;
-  bool allow_reorder = true;
-  bool allow_partition = true;
-  bool allow_straggler = true;
-  /// Permanent device losses; off by default (smoke soaks compare
-  /// against a fault-free oracle, and loss coverage lives in test_fault).
-  bool allow_loss = false;
-  /// Gray-failure kinds (sg_chaos --gray): long, strong degradation
-  /// windows the SLO oracle expects the mitigation path to recover
-  /// from. Off by default so pre-existing soak seeds keep generating
-  /// byte-identical plans.
-  bool allow_degrade = false;       ///< kDeviceDegrade with ramps
-  bool allow_link_degrade = false;  ///< kLinkDegrade with latency derate
-  bool allow_pressure = false;      ///< kMemoryPressure with ramps
-  // No SDC kinds: flips must target the partition's own replicated
-  // mirrors, so sg_chaos --sdc builds those plans from the layout.
+  /// The kinds a plan draws from: message chaos, partitions and
+  /// stragglers by default. Permanent device losses (smoke soaks compare
+  /// against a fault-free oracle) and the gray-failure kinds
+  /// (kDeviceDegrade and kMemoryPressure with ramps, kLinkDegrade with a
+  /// latency derate; sg_chaos --gray) are opt-in. A kind the cluster
+  /// shape cannot host is skipped: a partition or link derate needs two
+  /// hosts, a loss, degrade or pressure event two devices. No SDC kinds:
+  /// flips must target the partition's own replicated mirrors, so
+  /// sg_chaos --sdc builds those plans from the layout.
+  std::set<FaultKind> kinds = {FaultKind::kMessageDrop, FaultKind::kMsgCorrupt,
+                               FaultKind::kMsgDuplicate, FaultKind::kMsgReorder,
+                               FaultKind::kNetPartition, FaultKind::kStraggler};
 };
 
 /// Deterministic random plan for `seed` within `spec`'s bounds: the
 /// same (seed, spec) always yields the same plan, and the plan's own
 /// seed is set to `seed` so the injector's per-message decisions replay
 /// identically too. Throws std::runtime_error if `spec` admits no valid
-/// plan (e.g. every kind disabled with min_events > 0).
+/// plan (e.g. no kind with min_events > 0), std::invalid_argument if it
+/// names a kind random plans never draw.
 [[nodiscard]] FaultPlan random_plan(std::uint64_t seed,
                                     const ChaosSpec& spec);
 

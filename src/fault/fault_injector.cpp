@@ -89,13 +89,19 @@ FaultInjector::FaultInjector(const FaultPlan* plan, const sim::Topology* topo)
   active_ = plan_ != nullptr && !plan_->empty() && topo_ != nullptr;
   if (!active_) return;
   for (const FaultEvent& e : plan_->events) {
+    const KindRow& row = kind_row(e.kind);
+    // Plans can name devices a smaller run doesn't have; ignore them
+    // instead of letting the engine index out of range.
+    if (row.target == Target::kDevice &&
+        (e.device < 0 || e.device >= topo_->num_devices())) {
+      continue;
+    }
+    if (row.window != Window::kPoint) ++windowed_events_;
+    has_degradation_ |= row.family == Family::kDegrade;
+    has_sdc_ |= row.family == Family::kSdc;
     switch (e.kind) {
       case FaultKind::kDeviceCrash:
-        // Plans can name devices a smaller run doesn't have; ignore them
-        // instead of letting the engine index out of range.
-        if (e.device >= 0 && e.device < topo_->num_devices()) {
-          crashes_.push_back({e.at, e.device});
-        }
+        crashes_.push_back({e.at, e.device});
         break;
       case FaultKind::kHostCrash:
         for (int d = 0; d < topo_->num_devices(); ++d) {
@@ -103,9 +109,7 @@ FaultInjector::FaultInjector(const FaultPlan* plan, const sim::Topology* topo)
         }
         break;
       case FaultKind::kDeviceLoss:
-        if (e.device >= 0 && e.device < topo_->num_devices()) {
-          losses_.push_back({e.at, e.device});
-        }
+        losses_.push_back({e.at, e.device});
         break;
       case FaultKind::kNetPartition: {
         if (e.duration <= sim::SimTime::zero()) break;  // validate() rejects
@@ -118,56 +122,30 @@ FaultInjector::FaultInjector(const FaultPlan* plan, const sim::Topology* topo)
         for (int d = 0; d < topo_->num_devices(); ++d) {
           if ((e.host_mask >> topo_->host_of(d)) & 1ULL) ++side_a;
         }
-        const std::uint64_t all =
-            topo_->num_hosts() >= 64 ? ~0ULL
-                                     : ((1ULL << topo_->num_hosts()) - 1);
         w.minority_mask = side_a * 2 <= topo_->num_devices()
                               ? e.host_mask
-                              : (all & ~e.host_mask);
+                              : (all_hosts_mask(topo_->num_hosts()) &
+                                 ~e.host_mask);
         partitions_.push_back(w);
-        ++windowed_events_;
         break;
       }
-      case FaultKind::kLinkDegrade:
-      case FaultKind::kStraggler:
-      case FaultKind::kDeviceDegrade:
-      case FaultKind::kMemoryPressure:
-        has_degradation_ = true;
-        ++windowed_events_;
-        break;
-      case FaultKind::kMessageDrop:
-      case FaultKind::kMsgCorrupt:
-      case FaultKind::kMsgDuplicate:
-      case FaultKind::kMsgReorder:
-        ++windowed_events_;
-        break;
-      case FaultKind::kLabelBitFlip:
-        if (e.device >= 0 && e.device < topo_->num_devices()) {
-          int bit = e.bit;
-          if (bit < 0) {
-            // Seed-derived flip bit: deterministic per (seed, vertex,
-            // device) so the same plan replays the same corruption.
-            bit = static_cast<int>(
-                mix64(plan_->seed ^
-                      mix64(static_cast<std::uint64_t>(e.vertex)) ^
-                      mix64(static_cast<std::uint64_t>(e.device))) %
-                64);
-          }
-          label_flips_.push_back({e.at, e.device, e.vertex, bit});
-          has_sdc_ = true;
+      case FaultKind::kLabelBitFlip: {
+        int bit = e.bit;
+        if (bit < 0) {
+          // Seed-derived flip bit: deterministic per (seed, vertex,
+          // device) so the same plan replays the same corruption.
+          bit = static_cast<int>(
+              mix64(plan_->seed ^ mix64(static_cast<std::uint64_t>(e.vertex)) ^
+                    mix64(static_cast<std::uint64_t>(e.device))) %
+              64);
         }
+        label_flips_.push_back({e.at, e.device, e.vertex, bit});
         break;
-      case FaultKind::kKernelSdc:
-        if (e.device >= 0 && e.device < topo_->num_devices()) {
-          has_sdc_ = true;
-          ++windowed_events_;
-        }
-        break;
+      }
       case FaultKind::kCheckpointBitFlip:
-        if (e.device >= 0 && e.device < topo_->num_devices()) {
-          checkpoint_flips_.push_back({e.at, e.device});
-          has_sdc_ = true;
-        }
+        checkpoint_flips_.push_back({e.at, e.device});
+        break;
+      default:
         break;
     }
   }
@@ -191,14 +169,16 @@ FaultInjector::FaultInjector(const FaultPlan* plan, const sim::Topology* topo)
 }
 
 template <typename Hits>
-double FaultInjector::peak(FaultKind kind, sim::SimTime at, double floor,
-                           bool ramped, Hits hits,
+double FaultInjector::peak(FaultKind kind, sim::SimTime at, Hits hits,
                            double FaultEvent::*field) const {
+  const KindRow& row = kind_row(kind);
+  const double floor = row.severity.lo;
   double best = floor;
   for (const FaultEvent& e : plan_->events) {
     if (e.kind != kind || !in_window(e, at) || !hits(e)) continue;
-    const double v =
-        ramped ? floor + (e.*field - floor) * ramp_scale(e, at) : e.*field;
+    const double v = row.window == Window::kRamped
+                         ? floor + (e.*field - floor) * ramp_scale(e, at)
+                         : e.*field;
     if (v > best) best = v;
   }
   return best;
@@ -207,76 +187,71 @@ double FaultInjector::peak(FaultKind kind, sim::SimTime at, double floor,
 double FaultInjector::link_delay_factor(int src_host, int dst_host,
                                         sim::SimTime at) const {
   if (!active_ || src_host == dst_host) return 1.0;
-  return peak(FaultKind::kLinkDegrade, at, 1.0, true,
-              on_hop(src_host, dst_host));
+  return peak(FaultKind::kLinkDegrade, at, on_hop(src_host, dst_host));
 }
 
 double FaultInjector::link_latency_factor(int src_host, int dst_host,
                                           sim::SimTime at) const {
   if (!active_ || src_host == dst_host) return 1.0;
-  return peak(FaultKind::kLinkDegrade, at, 1.0, true,
-              on_hop(src_host, dst_host), &FaultEvent::latency_factor);
+  return peak(FaultKind::kLinkDegrade, at, on_hop(src_host, dst_host),
+              &FaultEvent::latency_factor);
 }
 
 double FaultInjector::compute_slowdown(int device, sim::SimTime at) const {
   if (!active_) return 1.0;
-  return std::max(
-      peak(FaultKind::kStraggler, at, 1.0, false, on_device(device)),
-      degrade_slowdown(device, at));
+  return std::max(peak(FaultKind::kStraggler, at, on_device(device)),
+                  degrade_slowdown(device, at));
 }
 
 double FaultInjector::degrade_slowdown(int device, sim::SimTime at) const {
   if (!active_) return 1.0;
-  return peak(FaultKind::kDeviceDegrade, at, 1.0, true, on_device(device));
+  return peak(FaultKind::kDeviceDegrade, at, on_device(device));
 }
 
 double FaultInjector::memory_pressure(int device, sim::SimTime at) const {
   if (!active_) return 0.0;
-  return std::min(
-      peak(FaultKind::kMemoryPressure, at, 0.0, true, on_device(device)),
-      1.0);
+  return std::min(peak(FaultKind::kMemoryPressure, at, on_device(device)),
+                  1.0);
+}
+
+bool FaultInjector::rolls(FaultKind anomaly, std::uint64_t salt, int from,
+                          int to, MsgKind kind, std::uint64_t round,
+                          int attempt, sim::SimTime at) const {
+  if (!active_) return false;
+  const double prob = peak(anomaly, at, kAnyEvent);
+  if (prob <= 0.0) return false;
+  // Key the decision on everything that identifies the attempt so each
+  // retransmission re-rolls independently but deterministically.
+  return hash_uniform(plan_->seed, endpoint_key(from, to),
+                      attempt_tag(round, attempt, kind), salt) < prob;
 }
 
 bool FaultInjector::drops_message(int from, int to, MsgKind kind,
                                   std::uint64_t round, int attempt,
                                   sim::SimTime at) const {
-  if (!active_) return false;
-  const double prob = peak(FaultKind::kMessageDrop, at, 0.0, false, kAnyEvent);
-  if (prob <= 0.0) return false;
-  // Key the decision on everything that identifies the attempt so each
-  // retransmission re-rolls independently but deterministically.
-  return hash_uniform(plan_->seed, endpoint_key(from, to),
-                      attempt_tag(round, attempt, kind), kDropSalt) < prob;
+  return rolls(FaultKind::kMessageDrop, kDropSalt, from, to, kind, round,
+               attempt, at);
 }
 
 bool FaultInjector::corrupts_message(int from, int to, MsgKind kind,
                                      std::uint64_t round, int attempt,
                                      sim::SimTime at) const {
-  if (!active_) return false;
-  const double prob = peak(FaultKind::kMsgCorrupt, at, 0.0, false, kAnyEvent);
-  if (prob <= 0.0) return false;
-  return hash_uniform(plan_->seed, endpoint_key(from, to),
-                      attempt_tag(round, attempt, kind), kCorruptSalt) < prob;
+  return rolls(FaultKind::kMsgCorrupt, kCorruptSalt, from, to, kind, round,
+               attempt, at);
 }
 
 bool FaultInjector::duplicates_message(int from, int to, MsgKind kind,
                                        std::uint64_t round,
                                        sim::SimTime at) const {
-  if (!active_) return false;
-  const double prob = peak(FaultKind::kMsgDuplicate, at, 0.0, false, kAnyEvent);
-  if (prob <= 0.0) return false;
-  return hash_uniform(plan_->seed, endpoint_key(from, to),
-                      attempt_tag(round, 0, kind), kDuplicateSalt) < prob;
+  return rolls(FaultKind::kMsgDuplicate, kDuplicateSalt, from, to, kind,
+               round, 0, at);
 }
 
 bool FaultInjector::reorders_message(int from, int to, MsgKind kind,
                                      std::uint64_t round,
                                      sim::SimTime at) const {
-  if (!active_) return false;
-  const double prob = peak(FaultKind::kMsgReorder, at, 0.0, false, kAnyEvent);
-  if (prob <= 0.0) return false;
-  return hash_uniform(plan_->seed, endpoint_key(from, to),
-                      attempt_tag(round, 0, kind), kReorderSalt) < prob;
+  return rolls(FaultKind::kMsgReorder, kReorderSalt, from, to, kind, round,
+               0, at);
 }
 
 double FaultInjector::anomaly_uniform(std::uint64_t salt, int from, int to,
@@ -290,8 +265,7 @@ double FaultInjector::anomaly_uniform(std::uint64_t salt, int from, int to,
 std::uint64_t FaultInjector::kernel_sdc_roll(int device, std::uint64_t round,
                                              sim::SimTime at) const {
   if (!active_ || !has_sdc_) return 0;
-  const double prob =
-      peak(FaultKind::kKernelSdc, at, 0.0, false, on_device(device));
+  const double prob = peak(FaultKind::kKernelSdc, at, on_device(device));
   if (prob <= 0.0) return 0;
   const auto dev = static_cast<std::uint64_t>(static_cast<std::uint32_t>(device));
   if (hash_uniform(plan_->seed, dev, round, kKernelSdcSalt) >= prob) return 0;

@@ -200,13 +200,19 @@ class FaultInjector {
 
   /// The windowed query behind every rate and factor: the largest value
   /// over the plan's `kind` events that cover `at` and that `hits`
-  /// accepts, starting from `floor`. An event's value is its `field`;
-  /// when `ramped`, it moves from `floor` toward that by the event's
-  /// onset/recovery ramp weight.
+  /// accepts, starting from the kind's no-effect value (1 for a
+  /// slowdown, else 0). An event's value is its `field`; a ramped kind
+  /// moves from no effect toward it by the event's ramp weight.
   template <typename Hits>
   [[nodiscard]] double peak(
-      FaultKind kind, sim::SimTime at, double floor, bool ramped, Hits hits,
+      FaultKind kind, sim::SimTime at, Hits hits,
       double FaultEvent::*field = &FaultEvent::severity) const;
+
+  /// Whether the (from -> to, kind, round) message's attempt `attempt`
+  /// at `at` suffers `anomaly`, a message-chaos kind rolled with `salt`.
+  [[nodiscard]] bool rolls(FaultKind anomaly, std::uint64_t salt, int from,
+                           int to, MsgKind kind, std::uint64_t round,
+                           int attempt, sim::SimTime at) const;
 
   const FaultPlan* plan_ = nullptr;
   const sim::Topology* topo_ = nullptr;

@@ -1,19 +1,12 @@
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 #include "fault/fault.hpp"
 
 namespace sg::fault {
 
 namespace {
-
-constexpr const char* kKindNames[] = {
-    "device-crash", "host-crash",     "link-degrade",   "message-drop",
-    "straggler",    "device-loss",    "msg-corrupt",    "msg-duplicate",
-    "msg-reorder",  "net-partition",  "device-degrade", "memory-pressure",
-    "label-bitflip", "kernel-sdc",    "checkpoint-bitflip",
-};
 
 /// Half-open window of event `e`; duration zero = open-ended (except
 /// partitions, which validate() requires to be positive).
@@ -25,24 +18,6 @@ bool windows_overlap(const FaultEvent& a, const FaultEvent& b) {
                                  ? sim::SimTime::max()
                                  : b.at + b.duration;
   return a.at < b_end && b.at < a_end;
-}
-
-bool is_windowed(FaultKind k) {
-  switch (k) {
-    case FaultKind::kLinkDegrade:
-    case FaultKind::kMessageDrop:
-    case FaultKind::kStraggler:
-    case FaultKind::kMsgCorrupt:
-    case FaultKind::kMsgDuplicate:
-    case FaultKind::kMsgReorder:
-    case FaultKind::kNetPartition:
-    case FaultKind::kDeviceDegrade:
-    case FaultKind::kMemoryPressure:
-    case FaultKind::kKernelSdc:
-      return true;
-    default:
-      return false;
-  }
 }
 
 bool same_target(const FaultEvent& a, const FaultEvent& b) {
@@ -71,22 +46,48 @@ std::string where(std::size_t i, const FaultEvent& e) {
   s += " at t=" + std::to_string(e.at.seconds()) + "s";
   if (e.duration > sim::SimTime::zero()) {
     s += " until t=" + std::to_string((e.at + e.duration).seconds()) + "s";
-  } else if (is_windowed(e.kind)) {
+  } else if (kind_row(e.kind).window != Window::kPoint) {
     s += " open-ended";
   }
   return s + "): ";
 }
 
-}  // namespace
-
-const char* to_string(FaultKind k) {
-  return kKindNames[static_cast<std::size_t>(k)];
+/// The first field `e` holds a non-default value in that its kind does
+/// not read (by its plan-JSON key), or nullptr.
+const char* unread_field(const FaultEvent& e) {
+  const KindRow& row = kind_row(e.kind);
+  const bool link = row.target == Target::kLink;
+  const bool ramps = row.window == Window::kRamped;
+  const bool flip = e.kind == FaultKind::kLabelBitFlip;
+  const std::pair<bool, const char*> fields[] = {
+      {row.window == Window::kPoint && e.duration != sim::SimTime::zero(),
+       "duration_s"},
+      {row.target != Target::kDevice && e.device != -1, "device"},
+      {row.target != Target::kHost && !link && e.host != -1, "host"},
+      {!link && e.peer_host != -1, "peer_host"},
+      {row.severity.noun == nullptr && e.severity != 0.0, "severity"},
+      {row.target != Target::kHostMask && e.host_mask != 0, "host_mask"},
+      {!ramps && e.onset != sim::SimTime::zero(), "onset_s"},
+      {!ramps && e.recovery != sim::SimTime::zero(), "recovery_s"},
+      {e.kind != FaultKind::kLinkDegrade && e.latency_factor != 1.0,
+       "latency_factor"},
+      {!flip && e.vertex != -1, "vertex"},
+      {!flip && e.bit != -1, "bit"},
+  };
+  for (const auto& [unread, key] : fields) {
+    if (unread) return key;
+  }
+  return nullptr;
 }
 
+}  // namespace
+
+const char* to_string(FaultKind k) { return kind_row(k).name; }
+
 bool fault_kind_from_string(std::string_view s, FaultKind& out) {
-  for (std::size_t i = 0; i < std::size(kKindNames); ++i) {
-    if (s == kKindNames[i]) {
-      out = static_cast<FaultKind>(i);
+  for (const KindRow& row : kKindTable) {
+    if (s == row.name) {
+      out = row.kind;
       return true;
     }
   }
@@ -96,8 +97,7 @@ bool fault_kind_from_string(std::string_view s, FaultKind& out) {
 std::string FaultPlan::validate(int num_devices, int num_hosts) const {
   const auto bad_device = [&](int d) { return d < 0 || d >= num_devices; };
   const auto bad_host = [&](int h) { return h < 0 || h >= num_hosts; };
-  const std::uint64_t all_hosts =
-      num_hosts >= 64 ? ~0ULL : ((1ULL << num_hosts) - 1);
+  const std::uint64_t all_hosts = all_hosts_mask(num_hosts);
 
   for (std::size_t i = 0; i < events.size(); ++i) {
     const FaultEvent& e = events[i];
@@ -105,10 +105,8 @@ std::string FaultPlan::validate(int num_devices, int num_hosts) const {
       return where(i, e) + "inverted window (duration " +
              std::to_string(e.duration.seconds()) + "s < 0)";
     }
-    // Ramp sanity for the gray kinds that honour onset/recovery.
-    if (e.kind == FaultKind::kLinkDegrade ||
-        e.kind == FaultKind::kDeviceDegrade ||
-        e.kind == FaultKind::kMemoryPressure) {
+    const KindRow& row = kind_row(e.kind);
+    if (row.window == Window::kRamped) {
       if (e.onset < sim::SimTime::zero() ||
           e.recovery < sim::SimTime::zero()) {
         return where(i, e) + "negative ramp (onset " +
@@ -128,80 +126,33 @@ std::string FaultPlan::validate(int num_devices, int num_hosts) const {
                "an open-ended window cannot have a recovery ramp";
       }
     }
+    const auto missing = [&](const char* what, int id, int n,
+                             const char* unit) {
+      return where(i, e) + what + std::to_string(id) +
+             " does not exist (cluster has " + std::to_string(n) + " " +
+             unit + ")";
+    };
+    if (row.target == Target::kDevice && bad_device(e.device)) {
+      return missing("device ", e.device, num_devices, "devices");
+    }
+    if (row.target == Target::kHost && bad_host(e.host)) {
+      return missing("host ", e.host, num_hosts, "hosts");
+    }
+    if (row.target == Target::kLink &&
+        (bad_host(e.host) || (e.peer_host >= 0 && bad_host(e.peer_host)))) {
+      return missing("link endpoint host ",
+                     bad_host(e.host) ? e.host : e.peer_host, num_hosts,
+                     "hosts");
+    }
+    if (row.severity.noun != nullptr && !row.severity.holds(e.severity)) {
+      return where(i, e) + row.severity.noun + " " +
+             std::to_string(e.severity) + " must be " + row.severity.range;
+    }
     switch (e.kind) {
-      case FaultKind::kDeviceCrash:
-      case FaultKind::kDeviceLoss:
-        if (bad_device(e.device)) {
-          return where(i, e) + "device " + std::to_string(e.device) +
-                 " does not exist (cluster has " +
-                 std::to_string(num_devices) + " devices)";
-        }
-        break;
-      case FaultKind::kStraggler:
-        if (bad_device(e.device)) {
-          return where(i, e) + "device " + std::to_string(e.device) +
-                 " does not exist (cluster has " +
-                 std::to_string(num_devices) + " devices)";
-        }
-        if (!(e.severity >= 1.0)) {
-          return where(i, e) + "slowdown " + std::to_string(e.severity) +
-                 " must be >= 1";
-        }
-        break;
-      case FaultKind::kHostCrash:
-        if (bad_host(e.host)) {
-          return where(i, e) + "host " + std::to_string(e.host) +
-                 " does not exist (cluster has " +
-                 std::to_string(num_hosts) + " hosts)";
-        }
-        break;
       case FaultKind::kLinkDegrade:
-        if (bad_host(e.host) || (e.peer_host >= 0 && bad_host(e.peer_host))) {
-          return where(i, e) + "link endpoint host " +
-                 std::to_string(bad_host(e.host) ? e.host : e.peer_host) +
-                 " does not exist (cluster has " +
-                 std::to_string(num_hosts) + " hosts)";
-        }
-        if (!(e.severity >= 1.0)) {
-          return where(i, e) + "slowdown " + std::to_string(e.severity) +
-                 " must be >= 1";
-        }
         if (!(e.latency_factor >= 1.0)) {
           return where(i, e) + "latency_factor " +
                  std::to_string(e.latency_factor) + " must be >= 1";
-        }
-        break;
-      case FaultKind::kDeviceDegrade:
-        if (bad_device(e.device)) {
-          return where(i, e) + "device " + std::to_string(e.device) +
-                 " does not exist (cluster has " +
-                 std::to_string(num_devices) + " devices)";
-        }
-        if (!(e.severity >= 1.0)) {
-          return where(i, e) + "slowdown " + std::to_string(e.severity) +
-                 " must be >= 1";
-        }
-        break;
-      case FaultKind::kMemoryPressure:
-        if (bad_device(e.device)) {
-          return where(i, e) + "device " + std::to_string(e.device) +
-                 " does not exist (cluster has " +
-                 std::to_string(num_devices) + " devices)";
-        }
-        if (!(e.severity > 0.0) || e.severity > 1.0 ||
-            std::isnan(e.severity)) {
-          return where(i, e) + "capacity fraction " +
-                 std::to_string(e.severity) + " must be in (0, 1]";
-        }
-        break;
-      case FaultKind::kMessageDrop:
-      case FaultKind::kMsgCorrupt:
-      case FaultKind::kMsgDuplicate:
-      case FaultKind::kMsgReorder:
-        if (!(e.severity >= 0.0) || e.severity > 1.0 ||
-            std::isnan(e.severity)) {
-          return where(i, e) + "probability " + std::to_string(e.severity) +
-                 " must be in [0, 1]";
         }
         break;
       case FaultKind::kNetPartition: {
@@ -227,11 +178,6 @@ std::string FaultPlan::validate(int num_devices, int num_hosts) const {
         break;
       }
       case FaultKind::kLabelBitFlip:
-        if (bad_device(e.device)) {
-          return where(i, e) + "device " + std::to_string(e.device) +
-                 " does not exist (cluster has " +
-                 std::to_string(num_devices) + " devices)";
-        }
         if (e.vertex < 0) {
           return where(i, e) + "vertex " + std::to_string(e.vertex) +
                  " must name a global vertex id (>= 0)";
@@ -242,28 +188,13 @@ std::string FaultPlan::validate(int num_devices, int num_hosts) const {
         }
         break;
       case FaultKind::kKernelSdc:
-        if (bad_device(e.device)) {
-          return where(i, e) + "device " + std::to_string(e.device) +
-                 " does not exist (cluster has " +
-                 std::to_string(num_devices) + " devices)";
-        }
-        if (!(e.severity > 0.0) || e.severity > 1.0 ||
-            std::isnan(e.severity)) {
-          return where(i, e) + "perturbation probability " +
-                 std::to_string(e.severity) + " must be in (0, 1]";
-        }
         if (e.duration <= sim::SimTime::zero()) {
           return where(i, e) +
                  "kernel SDC needs a positive window (an ALU that is wrong "
                  "forever is a device to evict, not a fault to tolerate)";
         }
         break;
-      case FaultKind::kCheckpointBitFlip:
-        if (bad_device(e.device)) {
-          return where(i, e) + "device " + std::to_string(e.device) +
-                 " does not exist (cluster has " +
-                 std::to_string(num_devices) + " devices)";
-        }
+      default:
         break;
     }
   }
@@ -277,15 +208,7 @@ std::string FaultPlan::validate(int num_devices, int num_hosts) const {
       if (j == i) continue;
       const FaultEvent& e = events[j];
       if (e.device != loss.device) continue;
-      const bool device_targeted = e.kind == FaultKind::kDeviceCrash ||
-                                   e.kind == FaultKind::kStraggler ||
-                                   e.kind == FaultKind::kDeviceLoss ||
-                                   e.kind == FaultKind::kDeviceDegrade ||
-                                   e.kind == FaultKind::kMemoryPressure ||
-                                   e.kind == FaultKind::kLabelBitFlip ||
-                                   e.kind == FaultKind::kKernelSdc ||
-                                   e.kind == FaultKind::kCheckpointBitFlip;
-      if (!device_targeted) continue;
+      if (kind_row(e.kind).target != Target::kDevice) continue;
       const bool duplicate_loss =
           e.kind == FaultKind::kDeviceLoss && j > i;
       if (duplicate_loss || (e.kind != FaultKind::kDeviceLoss &&
@@ -302,7 +225,7 @@ std::string FaultPlan::validate(int num_devices, int num_hosts) const {
   // Duplicated windows: two identical windowed events whose windows
   // overlap double-apply the same fault — almost always a plan bug.
   for (std::size_t i = 0; i < events.size(); ++i) {
-    if (!is_windowed(events[i].kind)) continue;
+    if (kind_row(events[i].kind).window == Window::kPoint) continue;
     for (std::size_t j = i + 1; j < events.size(); ++j) {
       if (!same_target(events[i], events[j])) continue;
       if (windows_overlap(events[i], events[j])) {
@@ -310,6 +233,15 @@ std::string FaultPlan::validate(int num_devices, int num_hosts) const {
                "overlaps an identical window (event " + std::to_string(i) +
                ") — merge or separate them";
       }
+    }
+  }
+
+  // Fields the kind does not read: a reproducer that sets one was not
+  // written for this kind, and replaying it would silently drop them.
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (const char* key = unread_field(events[i])) {
+      return where(i, events[i]) + to_string(events[i].kind) +
+             " does not read \"" + key + "\"; leave it at its default";
     }
   }
   return {};

@@ -91,13 +91,18 @@ inline constexpr std::size_t kRejectReasonCount = 8;
   return "?";
 }
 
-/// One scored result of a top-k query.
+/// One scored result of a top-k query. Cached ppr rows travel in
+/// reshard archives as raw bytes, so the struct has no padding: `pad`
+/// fills the gap before `score` and is always zero.
 struct ScoredVertex {
   graph::VertexId vertex = 0;
+  std::uint32_t pad = 0;
   double score = 0.0;
 
   friend bool operator==(const ScoredVertex&, const ScoredVertex&) = default;
 };
+static_assert(sizeof(ScoredVertex) ==
+              sizeof(graph::VertexId) + sizeof(std::uint32_t) + sizeof(double));
 
 /// The serving layer's reply. `payload()` is the canonical answer
 /// bytes: a cache hit must reproduce the cold-miss payload exactly

@@ -34,7 +34,7 @@ double percentile(std::vector<double> sample, double p) {
 std::vector<ScoredVertex> rank_ppr(std::span<const double> mass) {
   std::vector<ScoredVertex> ranked;
   for (graph::VertexId v = 0; v < mass.size(); ++v) {
-    if (mass[v] > 0.0) ranked.push_back({v, mass[v]});
+    if (mass[v] > 0.0) ranked.push_back({.vertex = v, .score = mass[v]});
   }
   std::sort(ranked.begin(), ranked.end(),
             [](const ScoredVertex& a, const ScoredVertex& b) {

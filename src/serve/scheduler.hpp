@@ -203,6 +203,10 @@ class BatchScheduler {
     return brownout_;
   }
   [[nodiscard]] const ReshardManager& resharder() const { return reshard_; }
+  /// Shard home `home`'s result cache.
+  [[nodiscard]] const ResultCache& home_cache(std::size_t home) const {
+    return caches_.at(home);
+  }
 
   /// Schema-versioned, byte-deterministic JSON serving report. Passing
   /// a non-negative `host_wall_ms` appends a `"nondeterministic":true`

@@ -567,9 +567,8 @@ fault::FaultPlan wire_anomaly_plan(std::uint64_t seed, int devices,
   spec.horizon = horizon;
   spec.min_events = 1;
   spec.max_events = 6;
-  spec.allow_partition = false;
-  spec.allow_straggler = false;
-  spec.allow_loss = false;
+  spec.kinds = {fault::FaultKind::kMessageDrop, fault::FaultKind::kMsgCorrupt,
+                fault::FaultKind::kMsgDuplicate, fault::FaultKind::kMsgReorder};
   return fault::random_plan(seed, spec);
 }
 

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -1083,9 +1085,8 @@ TEST(ServeGolden, ReportsAndCacheStatsMatchRecordedDigests) {
 }
 
 /// Appends one ppr row in the archive's layout: its length, then each
-/// ScoredVertex as its in-memory bytes (vertex id, 4 bytes of padding,
-/// score) with the padding zeroed, so the pinned bytes do not depend on
-/// what the padding of a live row holds.
+/// ScoredVertex as its in-memory bytes (vertex id, the zero `pad`,
+/// score).
 void put_ranked(partition::ByteWriter& w,
                 const std::vector<std::pair<graph::VertexId, double>>& row) {
   static_assert(sizeof(serve::ScoredVertex) == 16);
@@ -1186,6 +1187,49 @@ TEST(ServeGolden, TenantArchiveMatchesRecordedBytes) {
   partition::ByteWriter empty;
   cache.extract_tenant(3, empty);
   EXPECT_EQ(empty.bytes().size(), sizeof(std::uint32_t) + 3 * 8);
+}
+
+TEST(ServeArchive, PprRowsArchiveWithZeroPadding) {
+  ServeFixture fx;
+  auto sched = fx.make();
+  std::vector<serve::Query> qs;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    qs.push_back(make_query(i, 0, serve::QueryKind::kPprTopK,
+                            static_cast<graph::VertexId>(5 * i + 3), 0,
+                            static_cast<double>(i)));
+  }
+  for (const serve::Answer& a : sched.run(qs)) ASSERT_TRUE(a.served);
+
+  serve::ResultCache cache = sched.home_cache(0);
+  partition::ByteWriter w;
+  cache.extract_tenant(0, w);
+  partition::ByteReader r(w.bytes(), "ppr archive");
+  std::uint32_t owner = 0;
+  std::uint64_t hop_rows = 1;
+  std::uint64_t sssp_rows = 1;
+  std::uint64_t ppr_rows = 0;
+  r(owner, hop_rows, sssp_rows, ppr_rows);
+  ASSERT_EQ(hop_rows + sssp_rows, 0u);
+  ASSERT_EQ(ppr_rows, qs.size());
+  std::uint64_t scored = 0;
+  for (std::uint64_t i = 0; i < ppr_rows; ++i) {
+    serve::ResultCache::PprKey key;
+    std::vector<serve::ScoredVertex> row;
+    serve::ResultCache::PprKey::io(r, key);
+    r(row);
+    // The bytes between the vertex id and the score, as archived.
+    constexpr std::size_t kGapEnd = offsetof(serve::ScoredVertex, score);
+    for (const serve::ScoredVertex& sv : row) {
+      unsigned char bytes[sizeof sv];
+      std::memcpy(bytes, &sv, sizeof sv);
+      for (std::size_t b = sizeof sv.vertex; b < kGapEnd; ++b) {
+        ASSERT_EQ(bytes[b], 0) << "row " << i << " vertex " << sv.vertex;
+      }
+      ++scored;
+    }
+  }
+  r.expect_end();
+  EXPECT_GT(scored, qs.size());
 }
 
 }  // namespace

@@ -426,26 +426,19 @@ Reference oracle_setup(const Scenario& s) {
   return ref;
 }
 
-/// A ChaosSpec over the scenario's cluster shape. With `quiet` the
-/// default message-chaos, partition and straggler kinds are off, and
-/// the caller turns on exactly the kinds its mode soaks.
-fault::ChaosSpec spec_for(const Scenario& s, sim::SimTime horizon,
-                          bool quiet) {
+/// A ChaosSpec over the scenario's cluster shape, drawing the default
+/// kinds; a mode that soaks other kinds replaces `kinds`.
+fault::ChaosSpec spec_for(const Scenario& s, sim::SimTime horizon) {
   fault::ChaosSpec spec;
   spec.num_devices = s.devices;
   spec.num_hosts = topology_of(s).num_hosts();
   spec.horizon = horizon;
-  if (quiet) {
-    spec.allow_drop = spec.allow_corrupt = spec.allow_duplicate = false;
-    spec.allow_reorder = spec.allow_partition = false;
-    spec.allow_straggler = false;
-  }
   return spec;
 }
 
 fault::FaultPlan base_plan(std::uint64_t seed, const Scenario& s,
                            const Reference& ref, bool /*smoke*/) {
-  return fault::random_plan(seed, spec_for(s, ref.horizon, false));
+  return fault::random_plan(seed, spec_for(s, ref.horizon));
 }
 
 Knobs base_knobs(const Options& opt, const Scenario&, const Reference&,
@@ -521,9 +514,10 @@ constexpr double kGrayBeatsPerRun = 50.0;
 /// recovery ratio is judged against.
 fault::FaultPlan gray_plan(std::uint64_t seed, const Scenario& s,
                            const Reference& ref, bool /*smoke*/) {
-  fault::ChaosSpec spec = spec_for(s, ref.horizon, /*quiet=*/true);
-  spec.allow_degrade = spec.allow_pressure = true;
-  spec.allow_link_degrade = spec.num_hosts >= 2;
+  fault::ChaosSpec spec = spec_for(s, ref.horizon);
+  spec.kinds = {fault::FaultKind::kDeviceDegrade,
+                fault::FaultKind::kLinkDegrade,
+                fault::FaultKind::kMemoryPressure};
   spec.max_events = 2;
   return fault::random_plan(seed, spec);
 }
@@ -871,8 +865,8 @@ Reference serve_setup(const Scenario& s) {
 /// wire-protocol soak already covers message chaos for min-programs).
 fault::FaultPlan serve_plan(std::uint64_t seed, const Scenario& s,
                             const Reference& ref, bool smoke) {
-  fault::ChaosSpec spec = spec_for(s, ref.horizon, /*quiet=*/true);
-  spec.allow_loss = true;
+  fault::ChaosSpec spec = spec_for(s, ref.horizon);
+  spec.kinds = {fault::FaultKind::kDeviceLoss};
   spec.max_events = smoke ? 1 : 2;
   return fault::random_plan(seed, spec);
 }
@@ -942,8 +936,9 @@ fault::FaultPlan overload_plan(std::uint64_t seed, const Scenario& s,
     const algo::MsBfsResult probe = run_lanes(overload_graph(), 7, s, nullptr);
     it = horizons.emplace(key, probe.stats.total_time).first;
   }
-  fault::ChaosSpec spec = spec_for(s, it->second, /*quiet=*/true);
-  spec.allow_loss = spec.allow_degrade = true;
+  fault::ChaosSpec spec = spec_for(s, it->second);
+  spec.kinds = {fault::FaultKind::kDeviceLoss,
+                fault::FaultKind::kDeviceDegrade};
   spec.max_events = 2;
   return fault::random_plan(seed, spec);
 }

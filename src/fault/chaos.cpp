@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <limits>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -182,32 +181,49 @@ FaultPlan random_plan(std::uint64_t seed, const ChaosSpec& spec) {
       std::to_string(seed) + " within the given ChaosSpec");
 }
 
+namespace {
+
+void write_member(obs::JsonWriter& w, const char* key, FaultKind k) {
+  w.kv(key, to_string(k));
+}
+void write_member(obs::JsonWriter& w, const char* key, sim::SimTime t) {
+  w.kv(key, t.seconds());
+}
+template <typename T>
+void write_member(obs::JsonWriter& w, const char* key, T v) {
+  w.kv(key, v);
+}
+
+void read_member(obs::JsonReader& r, const char* key, bool, FaultKind& k) {
+  const std::string name = r.string(key);
+  if (!fault_kind_from_string(name, k)) r.fail("unknown kind", name);
+}
+void read_member(obs::JsonReader& r, const char* key, bool required,
+                 sim::SimTime& t) {
+  t = sim::SimTime{
+      r.number(key, required ? std::nullopt : std::optional(t.seconds()))};
+}
+void read_member(obs::JsonReader& r, const char* key, bool, double& d) {
+  d = r.number(key, d);
+}
+template <typename T>
+void read_member(obs::JsonReader& r, const char* key, bool, T& v) {
+  v = r.integer<T>(key, v);
+}
+
+}  // namespace
+
 void write_plan_json(obs::JsonWriter& w, const FaultPlan& plan) {
   w.begin_object();
   w.kv("seed", plan.seed);
   w.key("events").begin_array();
+  const FaultEvent dflt{};
   for (const FaultEvent& e : plan.events) {
     w.begin_object();
-    w.kv("kind", to_string(e.kind));
-    w.kv("at_s", e.at.seconds());
-    if (e.duration > sim::SimTime::zero()) {
-      w.kv("duration_s", e.duration.seconds());
-    }
-    if (e.device >= 0) w.kv("device", e.device);
-    if (e.host >= 0) w.kv("host", e.host);
-    if (e.peer_host >= 0) w.kv("peer_host", e.peer_host);
-    if (e.severity != 0.0) w.kv("severity", e.severity);
-    if (e.host_mask != 0) w.kv("host_mask", e.host_mask);
-    // Gray-failure fields only when non-default, so reproducers written
-    // before these fields existed stay byte-identical on rewrite.
-    if (e.onset > sim::SimTime::zero()) w.kv("onset_s", e.onset.seconds());
-    if (e.recovery > sim::SimTime::zero()) {
-      w.kv("recovery_s", e.recovery.seconds());
-    }
-    if (e.latency_factor != 1.0) w.kv("latency_factor", e.latency_factor);
-    // SDC fields only when non-default, same compatibility rule.
-    if (e.vertex >= 0) w.kv("vertex", e.vertex);
-    if (e.bit >= 0) w.kv("bit", e.bit);
+    for_each_event_member([&](const char* key, auto FaultEvent::*m,
+                              bool required) {
+      if (required || e.*m != dflt.*m) write_member(w, key, e.*m);
+    });
     w.end_object();
   }
   w.end_array();
@@ -220,84 +236,24 @@ std::string plan_to_json(const FaultPlan& plan) {
   return w.take();
 }
 
-namespace {
-
-double require_number(const obs::JsonValue& v, const char* key,
-                      const char* what) {
-  const obs::JsonValue* f = v.find(key);
-  if (f == nullptr || f->kind != obs::JsonValue::Kind::kNumber) {
-    throw std::runtime_error(std::string("fault plan: ") + what +
-                             " is missing numeric \"" + key + "\"");
-  }
-  return f->number;
-}
-
-double number_or(const obs::JsonValue& v, const char* key, double dflt) {
-  const obs::JsonValue* f = v.find(key);
-  return f != nullptr ? f->num_or(dflt) : dflt;
-}
-
-/// `x` cast to T after checking that it is an integer that fits: plans
-/// are read from reproducer files, and casting an out-of-range double
-/// is undefined (a fractional one would be silently truncated).
-template <typename T>
-T checked(double x, const char* key, const std::string& what) {
-  if (!(x >= static_cast<double>(std::numeric_limits<T>::min()) &&
-        x < std::ldexp(1.0, std::numeric_limits<T>::digits)) ||
-      x != std::floor(x)) {
-    throw std::runtime_error("fault plan: " + what +
-                             " has non-integer or out-of-range \"" + key +
-                             "\"");
-  }
-  return static_cast<T>(x);
-}
-
-}  // namespace
-
 FaultPlan plan_from_json(const obs::JsonValue& v) {
-  if (!v.is_object()) {
-    throw std::runtime_error("fault plan: not a JSON object");
-  }
+  obs::JsonReader doc(v, "fault plan");
   FaultPlan plan;
-  plan.seed =
-      checked<std::uint64_t>(require_number(v, "seed", "plan"), "seed", "plan");
-  const obs::JsonValue* events = v.find("events");
-  if (events == nullptr || !events->is_array()) {
-    throw std::runtime_error("fault plan: missing \"events\" array");
-  }
+  plan.seed = doc.integer<std::uint64_t>("seed");
+  const obs::JsonValue* events =
+      doc.get("events", obs::JsonValue::Kind::kArray, true);
   for (std::size_t i = 0; i < events->array.size(); ++i) {
-    const obs::JsonValue& ev = events->array[i];
-    const std::string at = "event " + std::to_string(i);
-    if (!ev.is_object()) {
-      throw std::runtime_error("fault plan: " + at + " is not an object");
-    }
-    const obs::JsonValue* kind = ev.find("kind");
-    if (kind == nullptr || kind->kind != obs::JsonValue::Kind::kString) {
-      throw std::runtime_error("fault plan: " + at +
-                               " is missing string \"kind\"");
-    }
+    obs::JsonReader ev(events->array[i],
+                       "fault plan: event " + std::to_string(i));
     FaultEvent e;
-    if (!fault_kind_from_string(kind->string, e.kind)) {
-      throw std::runtime_error("fault plan: " + at +
-                               " has unknown kind \"" + kind->string + "\"");
-    }
-    e.at = sim::SimTime{require_number(ev, "at_s", at.c_str())};
-    e.duration = sim::SimTime{number_or(ev, "duration_s", 0.0)};
-    e.device = checked<int>(number_or(ev, "device", -1.0), "device", at);
-    e.host = checked<int>(number_or(ev, "host", -1.0), "host", at);
-    e.peer_host =
-        checked<int>(number_or(ev, "peer_host", -1.0), "peer_host", at);
-    e.severity = number_or(ev, "severity", 0.0);
-    e.host_mask = checked<std::uint64_t>(number_or(ev, "host_mask", 0.0),
-                                         "host_mask", at);
-    e.onset = sim::SimTime{number_or(ev, "onset_s", 0.0)};
-    e.recovery = sim::SimTime{number_or(ev, "recovery_s", 0.0)};
-    e.latency_factor = number_or(ev, "latency_factor", 1.0);
-    e.vertex =
-        checked<std::int64_t>(number_or(ev, "vertex", -1.0), "vertex", at);
-    e.bit = checked<int>(number_or(ev, "bit", -1.0), "bit", at);
+    for_each_event_member([&](const char* key, auto FaultEvent::*m,
+                              bool required) {
+      read_member(ev, key, required, e.*m);
+    });
+    ev.reject_unread();
     plan.events.push_back(e);
   }
+  doc.reject_unread();
   return plan;
 }
 

@@ -200,6 +200,29 @@ struct FaultEvent {
   int bit = -1;
 };
 
+/// FaultEvent's members in the plan JSON's write order, each named once:
+/// `f(key, member, required)` for each. A required member is always
+/// written and must be present; any other is written only when it
+/// differs from its FaultEvent{} value, and reads as that value when
+/// absent, so plans written before a member existed stay byte-identical
+/// on rewrite.
+template <typename F>
+void for_each_event_member(F&& f) {
+  f("kind", &FaultEvent::kind, true);
+  f("at_s", &FaultEvent::at, true);
+  f("duration_s", &FaultEvent::duration, false);
+  f("device", &FaultEvent::device, false);
+  f("host", &FaultEvent::host, false);
+  f("peer_host", &FaultEvent::peer_host, false);
+  f("severity", &FaultEvent::severity, false);
+  f("host_mask", &FaultEvent::host_mask, false);
+  f("onset_s", &FaultEvent::onset, false);
+  f("recovery_s", &FaultEvent::recovery, false);
+  f("latency_factor", &FaultEvent::latency_factor, false);
+  f("vertex", &FaultEvent::vertex, false);
+  f("bit", &FaultEvent::bit, false);
+}
+
 /// Deterministic, seeded fault schedule. The seed feeds the per-message
 /// drop hash, so two runs with the same plan and workload inject
 /// byte-identical fault sequences.

@@ -59,25 +59,21 @@ const char* unread_field(const FaultEvent& e) {
   const bool link = row.target == Target::kLink;
   const bool ramps = row.window == Window::kRamped;
   const bool flip = e.kind == FaultKind::kLabelBitFlip;
-  const std::pair<bool, const char*> fields[] = {
-      {row.window == Window::kPoint && e.duration != sim::SimTime::zero(),
-       "duration_s"},
-      {row.target != Target::kDevice && e.device != -1, "device"},
-      {row.target != Target::kHost && !link && e.host != -1, "host"},
-      {!link && e.peer_host != -1, "peer_host"},
-      {row.severity.noun == nullptr && e.severity != 0.0, "severity"},
-      {row.target != Target::kHostMask && e.host_mask != 0, "host_mask"},
-      {!ramps && e.onset != sim::SimTime::zero(), "onset_s"},
-      {!ramps && e.recovery != sim::SimTime::zero(), "recovery_s"},
-      {e.kind != FaultKind::kLinkDegrade && e.latency_factor != 1.0,
-       "latency_factor"},
-      {!flip && e.vertex != -1, "vertex"},
-      {!flip && e.bit != -1, "bit"},
-  };
-  for (const auto& [unread, key] : fields) {
-    if (unread) return key;
-  }
-  return nullptr;
+  // Whether the kind reads each member, in for_each_event_member order.
+  const bool reads[] = {true, true, row.window != Window::kPoint,
+                        row.target == Target::kDevice,
+                        row.target == Target::kHost || link, link,
+                        row.severity.noun != nullptr,
+                        row.target == Target::kHostMask, ramps, ramps,
+                        e.kind == FaultKind::kLinkDegrade, flip, flip};
+  const FaultEvent dflt{};
+  const char* unread = nullptr;
+  std::size_t i = 0;
+  for_each_event_member([&](const char* key, auto FaultEvent::*m, bool) {
+    if (unread == nullptr && !reads[i] && e.*m != dflt.*m) unread = key;
+    ++i;
+  });
+  return unread;
 }
 
 }  // namespace

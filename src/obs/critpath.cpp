@@ -75,45 +75,20 @@ TraceView TraceView::from_tracer(const Tracer& tracer) {
   return v;
 }
 
-namespace {
-
-[[noreturn]] void schema_error(const std::string& what) {
-  throw std::runtime_error("trace schema: " + what);
-}
-
-const JsonValue& require(const JsonValue& obj, const char* key,
-                         JsonValue::Kind kind, const char* where) {
-  const auto it = obj.object.find(key);
-  if (it == obj.object.end() || it->second.kind != kind) {
-    schema_error(std::string(where) + " is missing \"" + key + "\"");
-  }
-  return it->second;
-}
-
-}  // namespace
-
 TraceView TraceView::from_chrome_trace(const JsonValue& doc) {
-  if (!doc.is_object()) schema_error("document is not an object");
-  const auto events = doc.object.find("traceEvents");
-  if (events == doc.object.end() || !events->second.is_array()) {
-    schema_error("no traceEvents array (not a scalegraph Chrome trace)");
-  }
+  JsonReader trace(doc, "trace schema");
   TraceView v;
-  if (const JsonValue* d = doc.find("otherData.dropped_spans")) {
-    v.dropped = static_cast<std::uint64_t>(d->num_or(0.0));
-  }
-  for (const JsonValue& ev : events->second.array) {
-    if (!ev.is_object()) schema_error("traceEvents entry is not an object");
-    const std::string& ph =
-        require(ev, "ph", JsonValue::Kind::kString, "event").string;
-    const auto tid =
-        static_cast<std::int32_t>(ev.find("tid") ? ev.find("tid")->num_or(0.0)
-                                                 : 0.0);
+  v.dropped = trace.integer<std::uint64_t>("otherData.dropped_spans", 0);
+  const auto& events =
+      trace.get("traceEvents", JsonValue::Kind::kArray, true)->array;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    JsonReader ev(events[i],
+                  "trace schema: traceEvents[" + std::to_string(i) + "]");
+    const std::string ph = ev.string("ph");
+    const auto tid = ev.integer<std::int32_t>("tid", 0);
     if (ph == "M") {
-      if (ev.find("name") != nullptr &&
-          ev.find("name")->str_or("") == "thread_name") {
-        const std::string name =
-            ev.find("args.name") ? ev.find("args.name")->str_or("") : "";
+      if (ev.string("name", "") == "thread_name") {
+        const std::string name = ev.string("args.name", "");
         if (tid >= 0) {
           if (v.track_names.size() <= static_cast<std::size_t>(tid)) {
             v.track_names.resize(static_cast<std::size_t>(tid) + 1);
@@ -126,60 +101,47 @@ TraceView TraceView::from_chrome_trace(const JsonValue& doc) {
     if (ph != "X") continue;
     CpSpan s;
     s.track = tid;
-    s.name = require(ev, "name", JsonValue::Kind::kString, "span").string;
-    s.kind = span_kind_from_string(
-        require(ev, "cat", JsonValue::Kind::kString, "span").string);
-    const double ts =
-        require(ev, "ts", JsonValue::Kind::kNumber, "span").number;
-    const double dur =
-        require(ev, "dur", JsonValue::Kind::kNumber, "span").number;
+    s.name = ev.string("name");
+    s.kind = span_kind_from_string(ev.string("cat"));
+    const double ts = ev.number("ts");
+    const double dur = ev.number("dur");
     s.begin = sim::SimTime::micros(ts);
     s.end = sim::SimTime::micros(ts + dur);
-    const JsonValue* seq = ev.find("args.seq");
-    if (seq == nullptr || seq->kind != JsonValue::Kind::kNumber) {
-      schema_error("span \"" + s.name +
-                   "\" has no args.seq (trace from an older scalegraph?)");
-    }
-    s.seq = static_cast<std::uint64_t>(seq->number);
+    // A span without args.seq comes from an older or foreign trace.
+    s.seq = ev.integer<std::uint64_t>("args.seq");
     // The two kind-specific args (bytes/peer, edges/round, ...) are the
     // remaining numeric members of args; map order is alphabetical, and
     // the writer emits a-name before b-name only for some kinds, so
     // recover them by name.
-    if (const JsonValue* args = ev.find("args")) {
-      std::size_t slot = 0;
-      for (const auto& [k, val] : args->object) {
-        if (k == "seq" || val.kind != JsonValue::Kind::kNumber) continue;
-        // Alphabetical order is stable; which generic arg is which only
-        // matters for round labels, recovered below by kind.
-        (slot++ == 0 ? s.arg_a : s.arg_b) =
-            static_cast<std::uint64_t>(val.number);
-      }
-      // Round-bearing kinds store the round in arg_b; its exported name
-      // ("round") sorts after the a-name for kernel ("edges") and
-      // checkpoint ("bytes"), so the positional recovery above is
-      // already correct. Assert the invariant instead of guessing.
-      if (s.kind == SpanKind::kKernel || s.kind == SpanKind::kCheckpoint ||
-          s.kind == SpanKind::kWait) {
-        if (const JsonValue* round = args->find("round")) {
-          s.arg_b = static_cast<std::uint64_t>(round->num_or(0.0));
-        }
-      }
+    std::size_t slot = 0;
+    for (const auto& [k, val] : ev.get("args", JsonValue::Kind::kObject,
+                                       true)->object) {
+      if (k == "seq" || val.kind != JsonValue::Kind::kNumber) continue;
+      // Alphabetical order is stable; which generic arg is which only
+      // matters for round labels, recovered below by kind.
+      (slot++ == 0 ? s.arg_a : s.arg_b) =
+          ev.integer<std::uint64_t>("args." + k);
+    }
+    // Round-bearing kinds store the round in arg_b; its exported name
+    // ("round") sorts after the a-name for kernel ("edges") and
+    // checkpoint ("bytes"), so the positional recovery above is
+    // already correct. Assert the invariant instead of guessing.
+    if (s.kind == SpanKind::kKernel || s.kind == SpanKind::kCheckpoint ||
+        s.kind == SpanKind::kWait) {
+      s.arg_b = ev.integer<std::uint64_t>("args.round", s.arg_b);
     }
     v.spans.push_back(std::move(s));
   }
-  if (const JsonValue* links = doc.find("sgLinks")) {
-    if (!links->is_array()) schema_error("sgLinks is not an array");
-    for (const JsonValue& l : links->array) {
-      if (!l.is_object()) schema_error("sgLinks entry is not an object");
+  if (const JsonValue* links =
+          trace.get("sgLinks", JsonValue::Kind::kArray, false)) {
+    for (std::size_t i = 0; i < links->array.size(); ++i) {
+      JsonReader l(links->array[i],
+                   "trace schema: sgLinks[" + std::to_string(i) + "]");
       SpanLink e;
-      e.from.track = static_cast<std::int32_t>(
-          require(l, "fromTid", JsonValue::Kind::kNumber, "link").number);
-      e.from.seq = static_cast<std::uint64_t>(
-          require(l, "fromSeq", JsonValue::Kind::kNumber, "link").number);
-      e.to.track = static_cast<std::int32_t>(
-          require(l, "toTid", JsonValue::Kind::kNumber, "link").number);
-      e.to.seq = static_cast<std::uint64_t>(
-          require(l, "toSeq", JsonValue::Kind::kNumber, "link").number);
+      e.from.track = l.integer<std::int32_t>("fromTid");
+      e.from.seq = l.integer<std::uint64_t>("fromSeq");
+      e.to.track = l.integer<std::int32_t>("toTid");
+      e.to.seq = l.integer<std::uint64_t>("toSeq");
       v.links.push_back(e);
     }
   }

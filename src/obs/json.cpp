@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 namespace sg::obs {
 
@@ -364,6 +365,88 @@ const JsonValue* JsonValue::find(std::string_view dotted_path) const {
 
 JsonValue parse_json(std::string_view text) {
   return Parser(text).parse_document();
+}
+
+// ---- typed reader --------------------------------------------------------
+
+namespace {
+
+/// JsonValue::Kind's names, in enumerator order.
+constexpr const char* kKindNames[] = {"null",   "boolean", "number",
+                                      "string", "array",   "object"};
+
+/// Dotted path of the first member of `obj` (under `prefix`) that is
+/// not in `read`, nor an object holding only read members; empty when
+/// there is none.
+std::string first_unread(const JsonValue& obj, const std::string& prefix,
+                         const std::set<std::string, std::less<>>& read) {
+  for (const auto& [name, value] : obj.object) {
+    const std::string path = prefix + name;
+    if (read.contains(path)) continue;
+    const std::string inner = path + ".";
+    const auto it = read.lower_bound(inner);
+    if (!value.is_object() || it == read.end() || !it->starts_with(inner)) {
+      return path;
+    }
+    if (std::string deeper = first_unread(value, inner, read);
+        !deeper.empty()) {
+      return deeper;
+    }
+  }
+  return {};
+}
+
+}  // namespace
+
+JsonReader::JsonReader(const JsonValue& doc, std::string context)
+    : doc_(doc), context_(std::move(context)) {
+  if (!doc.is_object()) {
+    throw std::runtime_error(context_ + ": not a JSON object");
+  }
+}
+
+void JsonReader::fail(std::string_view problem, std::string_view key,
+                      const std::string& detail) const {
+  throw std::runtime_error(context_ + ": " + std::string(problem) + " \"" +
+                           std::string(key) + "\"" + detail);
+}
+
+const JsonValue* JsonReader::get(std::string_view key, JsonValue::Kind kind,
+                                 bool required) {
+  read_.emplace(key);
+  const JsonValue* v = doc_.find(key);
+  if (v == nullptr && required) fail("missing", key);
+  if (v != nullptr && v->kind != kind) {
+    fail("mistyped", key,
+         std::string(" (want a ") + kKindNames[static_cast<int>(kind)] + ")");
+  }
+  return v;
+}
+
+double JsonReader::number(std::string_view key, std::optional<double> dflt) {
+  const JsonValue* v = get(key, JsonValue::Kind::kNumber, !dflt);
+  return v != nullptr ? v->number : *dflt;
+}
+
+bool JsonReader::boolean(std::string_view key, std::optional<bool> dflt) {
+  const JsonValue* v = get(key, JsonValue::Kind::kBool, !dflt);
+  return v != nullptr ? v->boolean : *dflt;
+}
+
+std::string JsonReader::string(std::string_view key,
+                               std::optional<std::string> dflt) {
+  const JsonValue* v = get(key, JsonValue::Kind::kString, !dflt);
+  return v != nullptr ? v->string : *std::move(dflt);
+}
+
+void JsonReader::known(std::initializer_list<std::string_view> keys) {
+  for (const std::string_view k : keys) read_.emplace(k);
+}
+
+void JsonReader::reject_unread() const {
+  if (const std::string key = first_unread(doc_, "", read_); !key.empty()) {
+    fail("unknown member", key);
+  }
 }
 
 }  // namespace sg::obs

@@ -1,9 +1,14 @@
 #include "obs/report.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "obs/prof.hpp"
 #include "util/counters.hpp"
@@ -235,51 +240,40 @@ bool write_report(const std::filesystem::path& path, const ReportMeta& meta,
 namespace {
 
 struct RunView {
-  const JsonValue* run = nullptr;
+  JsonReader run;
   std::string label;
 };
 
-bool collect_runs(const JsonValue& report, std::vector<RunView>& out,
-                  std::string& error) {
-  const JsonValue* ver = report.find("schema_version");
-  if (ver == nullptr || ver->kind != JsonValue::Kind::kNumber) {
-    error = "not a scalegraph run report (missing schema_version)";
-    return false;
-  }
-  const int schema = static_cast<int>(ver->number);
+std::vector<RunView> runs_of(const JsonValue& report) {
+  JsonReader doc(report, "run report");
+  const int schema = doc.integer<int>("schema_version");
   if (schema < kReportMinSchemaVersion || schema > kReportSchemaVersion) {
-    error = "schema_version mismatch: report has " +
-            format_double(ver->number) + ", tool understands " +
-            std::to_string(kReportMinSchemaVersion) + ".." +
-            std::to_string(kReportSchemaVersion);
-    return false;
+    throw std::runtime_error(
+        "schema_version mismatch: report has " + std::to_string(schema) +
+        ", tool understands " + std::to_string(kReportMinSchemaVersion) +
+        ".." + std::to_string(kReportSchemaVersion));
   }
-  const JsonValue* runs = report.find("runs");
-  if (runs == nullptr || !runs->is_array()) {
-    error = "report has no runs array";
-    return false;
+  std::vector<RunView> out;
+  const auto& runs = doc.get("runs", JsonValue::Kind::kArray, true)->array;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    JsonReader run(runs[i], "run report: runs[" + std::to_string(i) + "]");
+    std::string label = run.string("meta.label", "");
+    out.push_back({std::move(run), std::move(label)});
   }
-  for (const JsonValue& r : runs->array) {
-    const JsonValue* label = r.find("meta.label");
-    RunView v;
-    v.run = &r;
-    v.label = label != nullptr ? label->str_or("") : "";
-    out.push_back(std::move(v));
-  }
-  return true;
+  return out;
 }
 
 void diff_metric(const std::string& run_label, const std::string& metric,
-                 const char* path, const JsonValue& base,
-                 const JsonValue& cur, double threshold, DiffResult& out) {
-  const JsonValue* b = base.find(path);
-  const JsonValue* c = cur.find(path);
+                 const char* path, JsonReader& base, JsonReader& cur,
+                 double threshold, DiffResult& out) {
+  const JsonValue* b = base.get(path, JsonValue::Kind::kNumber, false);
+  const JsonValue* c = cur.get(path, JsonValue::Kind::kNumber, false);
   if (b == nullptr || c == nullptr) return;
   DiffItem item;
   item.run = run_label;
   item.metric = metric;
-  item.baseline = b->num_or(0.0);
-  item.current = c->num_or(0.0);
+  item.baseline = b->number;
+  item.current = c->number;
   if (item.baseline != 0.0) {
     item.rel_delta = (item.current - item.baseline) / item.baseline;
     item.regressed = item.current > item.baseline * (1.0 + threshold);
@@ -290,37 +284,28 @@ void diff_metric(const std::string& run_label, const std::string& metric,
   out.items.push_back(std::move(item));
 }
 
-}  // namespace
-
-DiffResult diff_reports(const JsonValue& baseline, const JsonValue& current,
-                        const DiffOptions& opts) {
+DiffResult diff_runs(std::vector<RunView> base_runs,
+                     std::vector<RunView> cur_runs, const DiffOptions& opts) {
   DiffResult res;
-  std::vector<RunView> base_runs;
-  std::vector<RunView> cur_runs;
-  if (!collect_runs(baseline, base_runs, res.error)) return res;
-  if (!collect_runs(current, cur_runs, res.error)) return res;
   res.ok = true;
-
-  for (const RunView& b : base_runs) {
-    const RunView* match = nullptr;
-    for (const RunView& c : cur_runs) {
-      if (c.label == b.label) {
-        match = &c;
-        break;
-      }
-    }
-    if (match == nullptr) {
+  const auto labelled = [](const std::string& label) {
+    return [&label](const RunView& r) { return r.label == label; };
+  };
+  for (RunView& b : base_runs) {
+    const auto match =
+        std::find_if(cur_runs.begin(), cur_runs.end(), labelled(b.label));
+    if (match == cur_runs.end()) {
       res.missing_runs.push_back(b.label);
       continue;
     }
-    diff_metric(b.label, "total_time_s", "stats.total_time_s", *b.run,
-                *match->run, opts.band_or("total_time_s", opts.threshold),
+    diff_metric(b.label, "total_time_s", "stats.total_time_s", b.run,
+                match->run, opts.band_or("total_time_s", opts.threshold),
                 res);
     diff_metric(b.label, "total_volume_bytes",
-                "stats.comm.total_volume_bytes", *b.run, *match->run,
+                "stats.comm.total_volume_bytes", b.run, match->run,
                 opts.band_or("total_volume_bytes", opts.threshold), res);
-    diff_metric(b.label, "global_rounds", "stats.global_rounds", *b.run,
-                *match->run, opts.band_or("global_rounds", opts.threshold),
+    diff_metric(b.label, "global_rounds", "stats.global_rounds", b.run,
+                match->run, opts.band_or("global_rounds", opts.threshold),
                 res);
     // Host wall time is nondeterministic; compare it only when the
     // caller opted in via rel_tolerance or an explicit band, so plain
@@ -328,21 +313,29 @@ DiffResult diff_reports(const JsonValue& baseline, const JsonValue& current,
     const double host_tol =
         opts.band_or("host_wall_ms", opts.rel_tolerance);
     if (host_tol >= 0.0) {
-      diff_metric(b.label, "host_wall_ms", "host_time.host_wall_ms", *b.run,
-                  *match->run, host_tol, res);
+      diff_metric(b.label, "host_wall_ms", "host_time.host_wall_ms", b.run,
+                  match->run, host_tol, res);
     }
   }
   for (const RunView& c : cur_runs) {
-    bool known = false;
-    for (const RunView& b : base_runs) {
-      if (b.label == c.label) {
-        known = true;
-        break;
-      }
+    if (std::none_of(base_runs.begin(), base_runs.end(), labelled(c.label))) {
+      res.new_runs.push_back(c.label);
     }
-    if (!known) res.new_runs.push_back(c.label);
   }
   return res;
+}
+
+}  // namespace
+
+DiffResult diff_reports(const JsonValue& baseline, const JsonValue& current,
+                        const DiffOptions& opts) {
+  try {
+    return diff_runs(runs_of(baseline), runs_of(current), opts);
+  } catch (const std::runtime_error& e) {
+    DiffResult res;
+    res.error = e.what();
+    return res;
+  }
 }
 
 DiffResult diff_report_files(const std::filesystem::path& baseline,

@@ -139,6 +139,9 @@ struct DiffResult {
 /// regression-guard metrics: total_time_s, comm total volume, and
 /// global rounds. A run missing from `current` is reported in
 /// `missing_runs` (and counts as a failure for the tool's exit code).
+/// A report that is not one (no integral `schema_version` this tool
+/// understands, no `runs` array, a run or metric of the wrong JSON type)
+/// gives !ok with an `error` naming the member.
 [[nodiscard]] DiffResult diff_reports(const JsonValue& baseline,
                                       const JsonValue& current,
                                       const DiffOptions& opts = {});

@@ -1,69 +1,6 @@
 #include "serve/reshard.hpp"
 
-#include <algorithm>
-#include <cstring>
-#include <stdexcept>
-
 namespace sg::serve {
-
-namespace {
-
-// magic(4) | version(4) | payload_size(8) | payload | fnv1a64(8)
-constexpr std::size_t kHeader = 4 + 4 + 8;
-constexpr std::size_t kTrailer = 8;
-
-}  // namespace
-
-std::vector<char> seal_blob(const std::vector<char>& payload) {
-  const std::uint32_t version = kReshardBlobVersion;
-  const auto size = static_cast<std::uint64_t>(payload.size());
-  const std::uint64_t sum = partition::fnv1a64(payload.data(), payload.size());
-  // Sized once and filled at fixed offsets: GCC 12 reports a false
-  // -Wstringop-overflow on a chain of insert() calls here.
-  std::vector<char> out(kHeader + payload.size() + kTrailer);
-  std::memcpy(out.data(), kReshardMagic.data(), kReshardMagic.size());
-  std::memcpy(out.data() + 4, &version, sizeof version);
-  std::memcpy(out.data() + 8, &size, sizeof size);
-  std::copy(payload.begin(), payload.end(), out.begin() + kHeader);
-  std::memcpy(out.data() + kHeader + payload.size(), &sum, sizeof sum);
-  return out;
-}
-
-std::vector<char> open_blob(const std::vector<char>& blob,
-                            const std::string& context) {
-  if (blob.size() < kHeader + kTrailer) {
-    throw std::runtime_error(context + ": migration blob truncated (" +
-                             std::to_string(blob.size()) + " bytes)");
-  }
-  if (!std::equal(kReshardMagic.begin(), kReshardMagic.end(), blob.begin())) {
-    throw std::runtime_error(context + ": bad magic in migration blob");
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, blob.data() + 4, sizeof version);
-  if (version != kReshardBlobVersion) {
-    throw std::runtime_error(context + ": unsupported migration blob version " +
-                             std::to_string(version));
-  }
-  std::uint64_t size = 0;
-  std::memcpy(&size, blob.data() + 8, sizeof size);
-  if (size != blob.size() - kHeader - kTrailer) {
-    throw std::runtime_error(context + ": migration blob length field " +
-                             std::to_string(size) + " does not match " +
-                             std::to_string(blob.size() - kHeader - kTrailer) +
-                             " payload bytes (corrupt?)");
-  }
-  std::uint64_t stored = 0;
-  std::memcpy(&stored, blob.data() + blob.size() - kTrailer, sizeof stored);
-  const std::uint64_t sum =
-      partition::fnv1a64(blob.data() + kHeader, static_cast<std::size_t>(size));
-  if (sum != stored) {
-    throw std::runtime_error(context + ": migration blob checksum mismatch (" +
-                             partition::digest_hex(stored) + " stored, " +
-                             partition::digest_hex(sum) + " recomputed)");
-  }
-  return {blob.begin() + static_cast<std::ptrdiff_t>(kHeader),
-          blob.end() - static_cast<std::ptrdiff_t>(kTrailer)};
-}
 
 void ReshardManager::ensure_tenant(std::uint32_t tenant) {
   while (home_.size() <= tenant) {

@@ -31,18 +31,14 @@ struct ReshardPolicy {
   int cooldown_evals = 3;
 };
 
-/// In-memory checksummed envelope for serving-state migration blobs:
-/// magic(4) | version(4) | payload_size(8) | payload | fnv1a64(8) —
-/// the same layout partition::write_checksummed_file puts on disk, so
-/// a migration is bit-exact by construction: open_blob() recomputes
-/// the FNV-1a digest over the payload and throws on any mismatch
-/// before a single byte reaches the destination home.
+/// Magic and version of serving-state migration blobs. They travel in
+/// partition::seal_payload's checksummed envelope, the one partition
+/// and checkpoint files use on disk, so a migration is bit-exact by
+/// construction: partition::open_sealed recomputes the FNV-1a digest
+/// over the payload and throws on any mismatch before a single byte
+/// reaches the destination home.
 inline constexpr std::array<char, 4> kReshardMagic{'S', 'G', 'R', 'S'};
 inline constexpr std::uint32_t kReshardBlobVersion = 1;
-
-[[nodiscard]] std::vector<char> seal_blob(const std::vector<char>& payload);
-[[nodiscard]] std::vector<char> open_blob(const std::vector<char>& blob,
-                                          const std::string& context);
 
 /// Decides when and where serving state moves. The scheduler feeds it
 /// per-tenant served-query counts at every dispatch boundary;

@@ -533,15 +533,17 @@ void BatchScheduler::maybe_reshard() {
                               std::to_string(mv->to);
   // Archive the tenant's serving state (cache slice + token-bucket
   // accounting), seal it in the checksummed envelope, and replay it on
-  // the destination home. open_blob() verifies the FNV-1a digest, so a
+  // the destination home. open_sealed() verifies the FNV-1a digest, so a
   // migration either lands bit-exactly or throws — never silently
   // corrupts.
   partition::ByteWriter w;
   caches_[mv->from].extract_tenant(mv->tenant, w);
   const TokenBucket::State bucket = admission_.export_bucket(mv->tenant);
   w(bucket);
-  const std::vector<char> blob = seal_blob(w.bytes());
-  const std::vector<char> payload = open_blob(blob, context);
+  const std::vector<char> blob =
+      partition::seal_payload(kReshardMagic, kReshardBlobVersion, w.bytes());
+  const std::vector<char> payload = partition::open_sealed(
+      blob, kReshardMagic, kReshardBlobVersion, context, "migration blob");
   partition::ByteReader r(payload, context);
   caches_[mv->to].absorb(r);
   TokenBucket::State restored{};

@@ -11,6 +11,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "algo/minplus.hpp"
 #include "engine/config.hpp"
@@ -250,6 +252,24 @@ TEST(CritPath, FromChromeTraceRejectsForeignSchemas) {
   EXPECT_THROW(
       (void)obs::TraceView::from_chrome_trace(obs::parse_json(foreign)),
       std::runtime_error);
+  // Integers outside their type are refused before the cast, naming the
+  // field, rather than cast (undefined behaviour).
+  using Case = std::pair<std::string, std::string>;  // {fields, key}
+  for (const auto& [bad, key] : std::vector<Case>{
+           {"\"tid\":1e20,\"args\":{\"seq\":0}", "tid"},
+           {"\"tid\":0,\"args\":{\"seq\":-5}", "args.seq"}}) {
+    const std::string doc =
+        "{\"traceEvents\":[{\"ph\":\"X\",\"name\":\"k\",\"cat\":\"kernel\","
+        "\"ts\":0,\"dur\":1,\"pid\":0," + bad + "}]}";
+    try {
+      (void)obs::TraceView::from_chrome_trace(obs::parse_json(doc));
+      ADD_FAILURE() << "out-of-range " << key << " must throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("out-of-range \"" + key + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---- rendering ----------------------------------------------------------

@@ -1356,11 +1356,26 @@ TEST(Chaos, ParseRejectsMalformedPlansDescriptively) {
     EXPECT_NE(std::string(e.what()).find("unknown kind \"gremlin\""),
               std::string::npos);
   }
+  using Case = std::pair<std::string, std::string>;  // {input, key}
+  // A misspelled key is an error, not a silently applied default.
+  for (const auto& [bad, key] : std::vector<Case>{
+           {"{\"seed\":1,\"events\":[{\"kind\":\"message-drop\",\"at_s\":0,"
+            "\"sevrity\":0.5}]}",
+            "sevrity"},
+           {"{\"seed\":1,\"evnts\":[],\"events\":[]}", "evnts"}}) {
+    try {
+      (void)fault::parse_plan(bad);
+      ADD_FAILURE() << "unknown key must throw: " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown member \"" + key + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
   // Integral fields that are fractional or do not fit their type are
   // rejected before the cast, naming the field.
   const std::string loss = "\"seed\":1,\"events\":[{\"kind\":\"device-loss\","
                            "\"at_s\":0,";
-  using Case = std::pair<std::string, std::string>;  // {fields, key}
   for (const auto& [bad, key] : std::vector<Case>{
            {"\"seed\":-1,\"events\":[]", "seed"},
            {"\"seed\":1e30,\"events\":[]", "seed"},

@@ -15,6 +15,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/cc.hpp"
@@ -31,6 +32,7 @@
 #include "graph/validation.hpp"
 #include "helpers.hpp"
 #include "integrity/audit.hpp"
+#include "obs/critpath.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -1059,15 +1061,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OverloadServeFuzz,
 //
 // obs::parse_json reads untrusted files: sg_chaos --replay reproducers,
 // report_diff inputs and sg_explain traces. Property: every input
-// derived from a real ReportWriter report or a chaos reproducer, with
-// bytes flipped, cut at any length or wrapped in deep nesting, either
-// parses or throws std::runtime_error. Nothing else escapes, and
+// derived from a real ReportWriter report, Chrome trace or chaos
+// reproducer, with bytes flipped, cut at any length or wrapped in deep
+// nesting, either parses or throws std::runtime_error, and so does the
+// document's reader on whatever parses. Nothing else escapes, and
 // nothing crashes.
 
-/// A traced bfs run on wire_graph serialized by ReportWriter, metrics
-/// and trace sections included.
-const std::string& report_text() {
-  static const std::string text = [] {
+/// A traced bfs run on wire_graph: its ReportWriter report (metrics and
+/// trace sections included) and its Chrome trace.
+const std::pair<std::string, std::string>& traced_run_texts() {
+  static const std::pair<std::string, std::string> texts = [] {
     const auto& g = wire_graph();
     test::PreparedGraph prep(g, partition::Policy::CVC, 4);
     obs::Registry metrics;
@@ -1085,10 +1088,12 @@ const std::string& report_text() {
     m.devices = 4;
     obs::ReportWriter w("fuzz");
     w.add(m, r.stats, &metrics, &tracer);
-    return w.json();
+    return std::pair(w.json(), tracer.chrome_trace_json());
   }();
-  return text;
+  return texts;
 }
+
+const std::string& report_text() { return traced_run_texts().first; }
 
 /// A chaos reproducer in sg_chaos's schema around a random wire plan.
 std::string reproducer_text(std::uint64_t seed) {
@@ -1105,13 +1110,19 @@ std::string reproducer_text(std::uint64_t seed) {
   return w.end_object().take();
 }
 
-/// Parses `text`; a std::runtime_error is the only acceptable failure.
-void parse_or_throw(const std::string& text, const std::string& what) {
+/// Reads a parsed document the way its tool does.
+using DocReader = void (*)(const obs::JsonValue&);
+
+/// Parses `text` and hands the result to `read`; a std::runtime_error
+/// is the only acceptable failure.
+void parse_or_throw(const std::string& text, const std::string& what,
+                    DocReader read) {
   try {
-    (void)obs::parse_json(text);
+    read(obs::parse_json(text));
   } catch (const std::runtime_error&) {
   } catch (...) {
-    ADD_FAILURE() << what << ": parse_json threw a non-runtime_error";
+    ADD_FAILURE() << what << ": parse_json or the reader threw a "
+                             "non-runtime_error";
   }
 }
 
@@ -1119,8 +1130,20 @@ class JsonFuzz : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(JsonFuzz, ByteFlipsParseOrThrowRuntimeError) {
   sim::Rng rng{GetParam() * 7919 + 3};
-  for (const std::string& doc : {report_text(), reproducer_text(GetParam())}) {
-    ASSERT_NO_THROW((void)obs::parse_json(doc));
+  const std::pair<std::string, DocReader> docs[] = {
+      {report_text(),
+       [](const obs::JsonValue& v) { (void)obs::diff_reports(v, v); }},
+      {reproducer_text(GetParam()),
+       [](const obs::JsonValue& v) {
+         if (const obs::JsonValue* plan = v.find("plan")) {
+           (void)fault::plan_from_json(*plan);
+         }
+       }},
+      {traced_run_texts().second, [](const obs::JsonValue& v) {
+         (void)obs::TraceView::from_chrome_trace(v);
+       }}};
+  for (const auto& [doc, read] : docs) {
+    ASSERT_NO_THROW(read(obs::parse_json(doc)));
     for (int trial = 0; trial < 64; ++trial) {
       std::string text = doc;
       const int flips = 1 + static_cast<int>(rng.bounded(4));
@@ -1131,8 +1154,10 @@ TEST_P(JsonFuzz, ByteFlipsParseOrThrowRuntimeError) {
                         ? static_cast<char>(rng.bounded(256))
                         : static_cast<char>(text[pos] ^ (1u << bit));
       }
-      parse_or_throw(text, "seed " + std::to_string(GetParam()) +
-                               " trial " + std::to_string(trial));
+      parse_or_throw(text,
+                     "seed " + std::to_string(GetParam()) + " trial " +
+                         std::to_string(trial),
+                     read);
     }
   }
 }

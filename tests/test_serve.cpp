@@ -760,21 +760,27 @@ TEST(BatchScheduler, ArmedOverloadReplayIsByteDeterministic) {
 
 TEST(ReshardBlob, ChecksummedRoundtripDetectsCorruption) {
   const std::vector<char> payload = {'s', 'h', 'a', 'r', 'd', '\0', '\x7f'};
-  const auto blob = serve::seal_blob(payload);
+  const auto blob = partition::seal_payload(
+      serve::kReshardMagic, serve::kReshardBlobVersion, payload);
+  const auto open_blob = [](const std::vector<char>& sealed) {
+    return partition::open_sealed(sealed, serve::kReshardMagic,
+                                  serve::kReshardBlobVersion, "test",
+                                  "migration blob");
+  };
   ASSERT_GT(blob.size(), payload.size() + 16);
   EXPECT_TRUE(std::equal(serve::kReshardMagic.begin(),
                          serve::kReshardMagic.end(), blob.begin()));
-  EXPECT_EQ(serve::open_blob(blob, "test"), payload);
+  EXPECT_EQ(open_blob(blob), payload);
   // Any flipped payload byte must be caught before absorption.
   auto bad = blob;
   bad[bad.size() - 9] ^= 0x01;  // last payload byte
-  EXPECT_THROW((void)serve::open_blob(bad, "test"), std::runtime_error);
+  EXPECT_THROW((void)open_blob(bad), std::runtime_error);
   auto bad_magic = blob;
   bad_magic[0] = 'X';
-  EXPECT_THROW((void)serve::open_blob(bad_magic, "test"), std::runtime_error);
+  EXPECT_THROW((void)open_blob(bad_magic), std::runtime_error);
   auto truncated = blob;
   truncated.pop_back();
-  EXPECT_THROW((void)serve::open_blob(truncated, "test"), std::runtime_error);
+  EXPECT_THROW((void)open_blob(truncated), std::runtime_error);
 }
 
 TEST(ReshardManager, MigrationBudgetStopsAtSixteen) {
@@ -1173,7 +1179,8 @@ TEST(ServeGolden, TenantArchiveMatchesRecordedBytes) {
     EXPECT_EQ(ranked.size(), 3u);
     r.expect_end();
   }
-  const std::vector<char> blob = serve::seal_blob(out.bytes());
+  const std::vector<char> blob = partition::seal_payload(
+      serve::kReshardMagic, serve::kReshardBlobVersion, out.bytes());
   EXPECT_EQ(digest_of(blob), 0xd1e60061f409c16aULL);
   EXPECT_EQ(blob.size(), 216u);
 

@@ -23,6 +23,7 @@ make_report("${WORK}/base.json" 1.0)
 make_report("${WORK}/same.json" 1.0)
 make_report("${WORK}/slow.json" 2.0)
 file(WRITE "${WORK}/garbage.json" "this is not json")
+file(WRITE "${WORK}/huge_schema.json" "{\"schema_version\":1e20,\"runs\":[]}")
 # 50,000 nested arrays: the parser must refuse the depth, not overflow
 # its stack.
 string(REPEAT "[" 50000 deep)
@@ -54,6 +55,8 @@ expect_exit(2 "${WORK}/base.json" "${WORK}/same.json" --threshold)
 # 2: unparseable / non-report inputs.
 expect_exit(2 "${WORK}/garbage.json" "${WORK}/same.json")
 expect_exit(2 "${WORK}/deep.json" "${WORK}/deep.json")
+# 2: a schema_version that does not fit an int is refused, not cast.
+expect_exit(2 "${WORK}/huge_schema.json" "${WORK}/same.json")
 expect_exit(2 "${WORK}/base.json" "${WORK}/missing-file.json")
 
 # --json keeps the exit-code contract and emits the documented schema.

@@ -66,7 +66,8 @@
 // Exit codes: 0 = all scenarios matched their oracle (or a replay did
 // not reproduce), 1 = at least one failure (reproducer written) or a
 // replay reproduced its failure, 2 = usage or harness error (including
-// a malformed reproducer, or an oracle setup that fails or throws).
+// a malformed reproducer or one with a key nothing reads, or an oracle
+// setup that fails or throws).
 // An exception while running a cell is a "run-error" outcome.
 //
 // Oracle contract: bfs/cc/sssp/kcore results must be bit-identical to
@@ -79,7 +80,6 @@
 // teleport base, total mass in the oracle's ballpark). BASP runs must
 // additionally report clean Safra termination.
 #include <algorithm>
-#include <climits>
 #include <cmath>
 #include <cstdarg>
 #include <cstdint>
@@ -91,6 +91,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "algo/minplus.hpp"
@@ -357,47 +358,6 @@ struct Options {
   std::string replay;
 };
 
-// ---- reproducer fields -----------------------------------------------------
-
-/// Field `key` (a dotted path) of a reproducer, nullptr when absent and
-/// optional. Throws naming the field when it is absent and required,
-/// or has another JSON type.
-const obs::JsonValue* field(const obs::JsonValue& doc, const char* key,
-                            obs::JsonValue::Kind kind, bool required) {
-  const obs::JsonValue* v = doc.find(key);
-  if ((v == nullptr && required) || (v != nullptr && v->kind != kind)) {
-    throw std::runtime_error(std::string("field \"") + key + "\" is " +
-                             (v == nullptr ? "missing" : "mistyped"));
-  }
-  return v;
-}
-
-bool bool_field(const obs::JsonValue& doc, const char* key, bool dflt) {
-  const auto* v = field(doc, key, obs::JsonValue::Kind::kBool, false);
-  return v != nullptr ? v->boolean : dflt;
-}
-
-double number_field(const obs::JsonValue& doc, const char* key,
-                    double dflt) {
-  const auto* v = field(doc, key, obs::JsonValue::Kind::kNumber, false);
-  return v != nullptr ? v->number : dflt;
-}
-
-/// Integer field in [lo, hi], range-checked before the cast; `dflt`
-/// when absent, required when there is no default.
-std::int64_t int_field(const obs::JsonValue& doc, const char* key,
-                       double lo, double hi,
-                       std::optional<std::int64_t> dflt = std::nullopt) {
-  const auto* v = field(doc, key, obs::JsonValue::Kind::kNumber, !dflt);
-  if (v == nullptr) return *dflt;
-  if (!(v->number >= lo && v->number <= hi) ||
-      v->number != std::floor(v->number)) {
-    throw std::runtime_error(strf(
-        "field \"%s\" is not an integer in [%.0f, %.0f]", key, lo, hi));
-  }
-  return static_cast<std::int64_t>(v->number);
-}
-
 // ---- base soak -------------------------------------------------------------
 
 /// One benchmark run on the chaos graph. A throw comes back as a failed
@@ -607,10 +567,9 @@ void gray_write(obs::JsonWriter& w, const Knobs& kn) {
 /// Hand-written gray reproducers without a stored margin get the
 /// per-kind fallback with no transient exemption (the oracle run has
 /// not happened yet at parse time).
-void gray_read(const obs::JsonValue& doc, const Scenario& s,
+void gray_read(obs::JsonReader& doc, const Scenario& s,
                const fault::FaultPlan& plan, Knobs& kn) {
-  kn.margin = number_field(doc, "recovery_margin",
-                           margin_for(plan, s.policy, 0.0));
+  kn.margin = doc.number("recovery_margin", margin_for(plan, s.policy, 0.0));
 }
 
 // ---- silent-data-corruption soak (--sdc) -----------------------------------
@@ -786,17 +745,14 @@ void sdc_write(obs::JsonWriter& w, const Knobs& kn) {
   w.kv("audit_interval", kn.audit.interval_rounds);
 }
 
-void sdc_read(const obs::JsonValue& doc, const Scenario&,
+void sdc_read(obs::JsonReader& doc, const Scenario&,
               const fault::FaultPlan&, Knobs& kn) {
-  const auto* am =
-      field(doc, "audit_mode", obs::JsonValue::Kind::kString, false);
-  const std::string mode = am != nullptr ? am->string : "repair";
+  const std::string mode = doc.string("audit_mode", "repair");
   integrity::AuditMode parsed = integrity::AuditMode::kRepair;
   if (!integrity::audit_mode_from_string(mode, parsed)) {
-    throw std::runtime_error("unknown audit_mode \"" + mode + "\"");
+    doc.fail("unknown audit_mode", mode);
   }
-  kn.audit = sdc_policy(parsed, static_cast<int>(int_field(
-                                    doc, "audit_interval", 1, INT_MAX, 1)));
+  kn.audit = sdc_policy(parsed, doc.integer<int>("audit_interval", 1, 1));
 }
 
 // ---- serving-layer soak (--serve) ------------------------------------------
@@ -1055,15 +1011,14 @@ void overload_write(obs::JsonWriter& w, const Knobs& kn) {
   w.kv("defect", kn.defect);
 }
 
-void overload_read(const obs::JsonValue& doc, const Scenario&,
+void overload_read(obs::JsonReader& doc, const Scenario&,
                    const fault::FaultPlan&, Knobs& kn) {
-  kn.workload_seed = static_cast<std::uint64_t>(
-      int_field(doc, "workload_seed", 0, 9007199254740992.0, 42));
-  kn.factor = number_field(doc, "overload_factor", 4.0);
-  if (!(kn.factor > 0.0)) {
-    throw std::runtime_error("field \"overload_factor\" is not positive");
-  }
-  kn.defect = bool_field(doc, "defect", false);
+  // 2^53: the largest seed a JSON number carries exactly.
+  kn.workload_seed = doc.integer<std::uint64_t>("workload_seed", 42, 0,
+                                                std::uint64_t{1} << 53);
+  kn.factor = doc.number("overload_factor", 4.0);
+  if (!(kn.factor > 0.0)) doc.fail("non-positive", "overload_factor");
+  kn.defect = doc.boolean("defect", false);
 }
 
 // ---- the mode table --------------------------------------------------------
@@ -1102,8 +1057,8 @@ struct SoakMode {
                  const fault::FaultPlan&) = nullptr;
   /// The extra reproducer fields after the tag, written and read.
   void (*write)(obs::JsonWriter&, const Knobs&) = nullptr;
-  void (*read)(const obs::JsonValue&, const Scenario&,
-               const fault::FaultPlan&, Knobs&) = nullptr;
+  void (*read)(obs::JsonReader&, const Scenario&, const fault::FaultPlan&,
+               Knobs&) = nullptr;
 };
 
 const std::vector<fw::Benchmark> kSoakBenches = {
@@ -1211,6 +1166,38 @@ Verdict run_cell(const SoakMode& m, const Scenario& s, const Reference& ref,
   }
 }
 
+/// The reproducer's `scenario` block in write order: `f(key, member)`
+/// for each. Only `wire_protocol` may be absent, and reads as on.
+template <typename S, typename K, typename F>
+void for_each_scenario_member(S& s, K& kn, F&& f) {
+  f("benchmark", s.bench);
+  f("policy", s.policy);
+  f("exec_model", s.model);
+  f("devices", s.devices);
+  f("wire_protocol", kn.wire);
+}
+
+void read_member(obs::JsonReader& doc, const std::string& key,
+                 fw::Benchmark& b) {
+  b = fw::benchmark_from_string(doc.string(key));
+}
+void read_member(obs::JsonReader& doc, const std::string& key,
+                 partition::Policy& p) {
+  p = partition::policy_from_string(doc.string(key));
+}
+void read_member(obs::JsonReader& doc, const std::string& key,
+                 engine::ExecModel& m) {
+  const std::string name = doc.string(key);
+  if (name != "Sync" && name != "Async") doc.fail("unknown exec_model", name);
+  m = name == "Sync" ? engine::ExecModel::kSync : engine::ExecModel::kAsync;
+}
+void read_member(obs::JsonReader& doc, const std::string& key, int& devices) {
+  devices = doc.integer<int>(key, std::nullopt, 1);
+}
+void read_member(obs::JsonReader& doc, const std::string& key, bool& wire) {
+  wire = doc.boolean(key, true);
+}
+
 void write_reproducer(const std::filesystem::path& path, const SoakMode& m,
                       const Scenario& s, const Knobs& kn,
                       const fault::FaultPlan& plan, const Outcome& o,
@@ -1219,11 +1206,13 @@ void write_reproducer(const std::filesystem::path& path, const SoakMode& m,
   w.begin_object();
   w.kv("sg_chaos_schema", 1);
   w.key("scenario").begin_object();
-  w.kv("benchmark", fw::to_string(s.bench));
-  w.kv("policy", partition::to_string(s.policy));
-  w.kv("exec_model", engine::to_string(s.model));
-  w.kv("devices", s.devices);
-  w.kv("wire_protocol", kn.wire);
+  for_each_scenario_member(s, kn, [&w](const char* key, const auto& v) {
+    if constexpr (std::is_enum_v<std::decay_t<decltype(v)>>) {
+      w.kv(key, to_string(v));
+    } else {
+      w.kv(key, v);
+    }
+  });
   w.end_object();
   if (m.tag != nullptr) w.kv(m.tag, true);
   if (m.write != nullptr) m.write(w, kn);
@@ -1366,37 +1355,28 @@ int replay(const std::string& path) {
   fault::FaultPlan plan;
   std::string recorded_failure;
   try {
-    using Kind = obs::JsonValue::Kind;
-    const obs::JsonValue doc = obs::parse_json(text.str());
-    if (number_field(doc, "sg_chaos_schema", 0) != 1.0) {
+    const obs::JsonValue parsed = obs::parse_json(text.str());
+    obs::JsonReader doc(parsed, "reproducer");
+    if (doc.integer<int>("sg_chaos_schema", 0) != 1) {
       throw std::runtime_error("not an sg_chaos reproducer (schema 1)");
     }
     int tags = 0;
     for (const SoakMode& row : kModes) {
-      if (row.tag != nullptr && bool_field(doc, row.tag, false)) {
+      if (row.tag != nullptr && doc.boolean(row.tag, false)) {
         m = &row;
         ++tags;
       }
     }
     if (tags > 1) throw std::runtime_error("more than one mode tag");
-    s.bench = fw::benchmark_from_string(
-        field(doc, "scenario.benchmark", Kind::kString, true)->string);
-    s.policy = partition::policy_from_string(
-        field(doc, "scenario.policy", Kind::kString, true)->string);
-    const std::string& model =
-        field(doc, "scenario.exec_model", Kind::kString, true)->string;
-    if (model != "Sync" && model != "Async") {
-      throw std::runtime_error("unknown exec_model \"" + model + "\"");
-    }
-    s.model = model == "Sync" ? engine::ExecModel::kSync
-                              : engine::ExecModel::kAsync;
-    s.devices =
-        static_cast<int>(int_field(doc, "scenario.devices", 1, INT_MAX));
-    kn.wire = bool_field(doc, "scenario.wire_protocol", true);
-    plan = fault::plan_from_json(*field(doc, "plan", Kind::kObject, true));
+    for_each_scenario_member(s, kn, [&doc](const char* key, auto& v) {
+      read_member(doc, std::string("scenario.") + key, v);
+    });
+    plan = fault::plan_from_json(
+        *doc.get("plan", obs::JsonValue::Kind::kObject, true));
     if (m->read != nullptr) m->read(doc, s, plan, kn);
-    const auto* fail = field(doc, "failure", Kind::kString, false);
-    recorded_failure = fail != nullptr ? fail->string : "";
+    recorded_failure = doc.string("failure", "");
+    doc.known({"detail", "shrink"});
+    doc.reject_unread();
     plan.validate_or_throw(s.devices, topology_of(s).num_hosts());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sg_chaos: %s: %s\n", path.c_str(), e.what());

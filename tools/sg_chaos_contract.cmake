@@ -18,7 +18,9 @@
 #    names the mode in its banner, and is byte-deterministic.
 #  - Usage errors exit 2, including flags the chosen mode would ignore,
 #    and so does replaying a missing, unparsable or malformed
-#    reproducer (the message names the bad field).
+#    reproducer (the message names the bad field, including a key
+#    nothing reads), and so does `sg_explain --flight` on a dump with
+#    an out-of-range integer.
 #
 # Invoked as:
 #   cmake -DTOOL=<sg_chaos binary> -DEXPLAIN=<sg_explain binary>
@@ -179,6 +181,25 @@ malformed(bad_plan "out-of-range \"device\"" "${bfs},\"devices\":4"
 \"at_s\":0,\"device\":1e12}]}")
 malformed(two_tags "mode tag" "${bfs},\"devices\":4"
           ",\"gray\":true,\"sdc\":true,\"plan\":{\"seed\":1,\"events\":[]}")
+# A misspelled key would otherwise replay with its default (the wire
+# protocol on, a drop window of zero severity).
+malformed(scenario_typo "scenario.wire_protcol"
+          "${bfs},\"devices\":4,\"wire_protcol\":false")
+malformed(event_typo "\"sevrity\"" "${bfs},\"devices\":4"
+          ",\"plan\":{\"seed\":1,\"events\":[{\"kind\":\"message-drop\",\
+\"at_s\":0,\"duration_s\":1,\"sevrity\":0.5}]}")
+
+# 2: sg_explain --flight refuses a dump whose integer field does not fit
+# its type, instead of casting it.
+file(WRITE "${WORK}/flight_t_us.json" "{\"sg_flight_schema\":1,\"flight\":\
+{\"events\":[{\"t_us\":1e300,\"kind\":\"note\"}]}}")
+execute_process(COMMAND "${EXPLAIN}" --flight "${WORK}/flight_t_us.json"
+                RESULT_VARIABLE rc ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "\"t_us\"")
+  message(FATAL_ERROR
+    "sg_explain --flight on t_us 1e300: expected exit 2 naming t_us, "
+    "got ${rc}:\n${err}")
+endif()
 
 # 0: every protected smoke soak matches its oracle everywhere.
 clean_soak(clean --smoke)

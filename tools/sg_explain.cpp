@@ -24,7 +24,9 @@
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/critpath.hpp"
 #include "obs/flight.hpp"
@@ -38,55 +40,59 @@ void usage(const char* argv0) {
                argv0, argv0);
 }
 
+/// One event of a flight dump, as sg_explain prints it.
+struct FlightRow {
+  long long t_us = 0;
+  long long device = 0;
+  long long a = 0;
+  long long b = 0;
+  std::string kind;
+  std::string detail;
+};
+
 /// Renders a flight-recorder dump as a deterministic event table (text)
 /// or a summary document (--json). Returns the process exit code.
 int render_flight(const std::string& path, const std::string& text,
                   bool json) {
-  sg::obs::JsonValue doc;
+  std::string trigger;
+  std::uint64_t capacity = 0;
+  std::uint64_t dropped = 0;
+  bool has_wall = false;
+  std::vector<FlightRow> rows;
   try {
-    doc = sg::obs::parse_json(text);
+    const sg::obs::JsonValue parsed = sg::obs::parse_json(text);
+    sg::obs::JsonReader doc(parsed, "flight dump");
+    if (doc.integer<int>("sg_flight_schema", -1) !=
+        sg::obs::kFlightSchemaVersion) {
+      throw std::runtime_error(
+          "not a flight dump (sg_flight_schema " +
+          std::to_string(sg::obs::kFlightSchemaVersion) + " expected)");
+    }
+    const auto& events =
+        doc.get("flight.events", sg::obs::JsonValue::Kind::kArray, true)
+            ->array;
+    trigger = doc.string("trigger", "(unknown)");
+    capacity = doc.integer<std::uint64_t>("flight.capacity", 0);
+    dropped = doc.integer<std::uint64_t>("flight.dropped", 0);
+    has_wall = !events.empty() && events.front().find("wall_ns") != nullptr;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      sg::obs::JsonReader e(events[i],
+                            "flight dump: events[" + std::to_string(i) + "]");
+      rows.push_back({e.integer<long long>("t_us", 0),
+                      e.integer<long long>("device", 0),
+                      e.integer<long long>("a", 0),
+                      e.integer<long long>("b", 0), e.string("kind", "?"),
+                      e.string("detail", "")});
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sg_explain: %s: %s\n", path.c_str(), e.what());
     return 2;
   }
-  const sg::obs::JsonValue* schema = doc.find("sg_flight_schema");
-  if (schema == nullptr ||
-      static_cast<int>(schema->num_or(-1)) != sg::obs::kFlightSchemaVersion) {
-    std::fprintf(stderr,
-                 "sg_explain: %s: not a flight dump (sg_flight_schema %d "
-                 "expected)\n",
-                 path.c_str(), sg::obs::kFlightSchemaVersion);
-    return 2;
-  }
-  const sg::obs::JsonValue* flight = doc.find("flight");
-  const sg::obs::JsonValue* events = doc.find("flight.events");
-  if (flight == nullptr || !flight->is_object() || events == nullptr ||
-      !events->is_array()) {
-    std::fprintf(stderr, "sg_explain: %s: flight dump has no events array\n",
-                 path.c_str());
-    return 2;
-  }
-  const std::string trigger =
-      doc.find("trigger") != nullptr
-          ? doc.find("trigger")->str_or("(unknown)")
-          : std::string("(unknown)");
-  auto num_field = [&](const char* key, double dflt) {
-    const sg::obs::JsonValue* v = flight->find(key);
-    return v != nullptr ? v->num_or(dflt) : dflt;
-  };
-  const auto capacity = static_cast<std::uint64_t>(num_field("capacity", 0));
-  const auto dropped = static_cast<std::uint64_t>(num_field("dropped", 0));
-  const bool has_wall =
-      !events->array.empty() &&
-      events->array.front().find("wall_ns") != nullptr;
 
   // Per-kind histogram (name-sorted via std::map, so output order is
   // deterministic regardless of event order in the dump).
   std::map<std::string, std::uint64_t> kinds;
-  for (const auto& e : events->array) {
-    const sg::obs::JsonValue* k = e.find("kind");
-    kinds[k != nullptr ? k->str_or("?") : "?"] += 1;
-  }
+  for (const FlightRow& r : rows) kinds[r.kind] += 1;
 
   if (json) {
     sg::obs::JsonWriter w;
@@ -94,7 +100,7 @@ int render_flight(const std::string& path, const std::string& text,
     w.kv("sg_flight_schema", sg::obs::kFlightSchemaVersion);
     w.kv("trigger", trigger);
     w.kv("capacity", capacity);
-    w.kv("recorded", static_cast<std::uint64_t>(events->array.size()));
+    w.kv("recorded", static_cast<std::uint64_t>(rows.size()));
     w.kv("dropped", dropped);
     w.key("kinds").begin_object();
     for (const auto& [name, count] : kinds) w.kv(name.c_str(), count);
@@ -106,7 +112,7 @@ int render_flight(const std::string& path, const std::string& text,
 
   std::printf("flight dump: %s\n", path.c_str());
   std::printf("  trigger=%s  events=%zu  capacity=%llu  dropped=%llu\n",
-              trigger.c_str(), events->array.size(),
+              trigger.c_str(), rows.size(),
               static_cast<unsigned long long>(capacity),
               static_cast<unsigned long long>(dropped));
   if (dropped > 0) {
@@ -115,19 +121,9 @@ int render_flight(const std::string& path, const std::string& text,
   }
   std::printf("  %12s  %-12s %4s  %12s  %12s  %s\n", "t_us", "kind", "dev",
               "a", "b", "detail");
-  for (const auto& e : events->array) {
-    auto field_num = [&](const char* key) {
-      const sg::obs::JsonValue* v = e.find(key);
-      return v != nullptr ? static_cast<long long>(v->num_or(0)) : 0LL;
-    };
-    auto field_str = [&](const char* key) {
-      const sg::obs::JsonValue* v = e.find(key);
-      return v != nullptr ? v->str_or("") : std::string();
-    };
-    std::printf("  %12lld  %-12s %4lld  %12lld  %12lld  %s\n",
-                field_num("t_us"), field_str("kind").c_str(),
-                field_num("device"), field_num("a"), field_num("b"),
-                field_str("detail").c_str());
+  for (const FlightRow& r : rows) {
+    std::printf("  %12lld  %-12s %4lld  %12lld  %12lld  %s\n", r.t_us,
+                r.kind.c_str(), r.device, r.a, r.b, r.detail.c_str());
   }
   std::printf("per-kind:");
   for (const auto& [name, count] : kinds) {
